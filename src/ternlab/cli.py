@@ -73,6 +73,18 @@ def to_instance_dict(m: tern.TernarySpace, name: str = "instance") -> dict:
         "dim": m.dim, "c": _encode_array(np.asarray(m.structure.c))}}
 
 
+def _typed(value, kind, what):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _int(value, what) -> int:
+    if isinstance(value, (list, dict)) or value is None:
+        raise ValueError(f"{what} must be an integer")
+    return int(value)
+
+
 def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
     """Returns (name, TernarySpace); raises ValueError on malformed data."""
     if not isinstance(data, dict):
@@ -84,15 +96,17 @@ def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
         raise ValueError("exactly one of 'blocks'/'structure_constants' required")
     if has_blocks:
         blocks = []
-        for entry in data["blocks"]:
-            sign = int(entry["sign"])
-            rows, cols = int(entry["rows"]), int(entry["cols"])
-            basis = tuple(_decode_array(mat, 2) for mat in entry["basis"])
+        for entry in _typed(data["blocks"], list, "'blocks'"):
+            _typed(entry, dict, "each block")
+            sign = _int(entry["sign"], "'sign'")
+            rows, cols = _int(entry["rows"], "'rows'"), _int(entry["cols"], "'cols'")
+            basis = tuple(_decode_array(mat, 2)
+                          for mat in _typed(entry["basis"], list, "'basis'"))
             blocks.append(tern.SignedBlock(sign, rows, cols, basis))
         return name, tern.TernarySpace.from_blocks(blocks, validate=validate)
-    sc = data["structure_constants"]
+    sc = _typed(data["structure_constants"], dict, "'structure_constants'")
     c = _decode_array(sc["c"], 4)
-    if c.shape != (int(sc["dim"]),) * 4:
+    if c.shape != (_int(sc["dim"], "'dim'"),) * 4:
         raise ValueError("tensor shape disagrees with declared dim")
     return name, tern.TernarySpace.from_structure(c, validate=validate)
 
@@ -108,9 +122,6 @@ def load_instance(path: str, validate: bool = True) -> tuple:
 
 
 def _demo_spaces() -> dict:
-    e12 = np.zeros((2, 2), dtype=np.complex128)
-    e12[0, 1] = 1.0
-    e21 = e12.T.copy()
     return {
         "m2-anti": lambda: tern.scalar_space(-1),
         "scalar-tro": lambda: tern.scalar_space(+1),
@@ -160,7 +171,7 @@ def _cmd_embed(m, name, args):
         lhs = emb.pi_represent(e, e.mul_coords(x, y)).matrix
         rhs = emb.pi_represent(e, x).matrix @ emb.pi_represent(e, y).matrix
         hom_resid = max(hom_resid, float(np.abs(lhs - rhs).max(initial=0.0)))
-    wit = emb.cstar_identity_witness(e, seed=args.seed)
+    wit = emb.cstar_identity_witness(e)
     details = {
         "dim": e.dim,
         "corner_dims": {k: int(v.size) for k, v in e.corner_indices.items()},

@@ -34,7 +34,6 @@ from .errors import (
     InvalidInput,
     NotAnIdeal,
     ShapeError,
-    SolverBudgetExceeded,
 )
 from .ternary import TernarySpace, _triple_coords, as_coords
 
@@ -249,11 +248,6 @@ class StandardEmbedding:
         mats = self.materialize(x)
         return max((mk.op_norm(m) for m in mats), default=0.0)
 
-    def _norm_batch(self, coords) -> np.ndarray:
-        mats = self.materialize(coords)
-        svs = [np.linalg.svd(m, compute_uv=False)[..., 0] for m in mats]
-        return np.max(np.stack(svs, axis=-1), axis=-1)
-
     # -- algebra operations --------------------------------------------------
 
     def mul_coords(self, xa, xb, tol=DEFAULT_TOL):
@@ -278,10 +272,6 @@ class StandardEmbedding:
         if not out:
             return np.zeros_like(np.asarray(coords))
         return np.concatenate(out, axis=-1)
-
-    @cached_property
-    def basis_matrix_norms(self) -> np.ndarray:
-        return self._norm_batch(np.eye(self.dim, dtype=np.complex128))
 
 
 def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedding:
@@ -620,9 +610,14 @@ def _ternary_ideal_residual(m: TernarySpace, span: np.ndarray) -> float:
 # C*-identity failure witness
 
 
-def cstar_identity_witness(e: StandardEmbedding, seed: int = 0,
-                           n_random: int = 32, refine_steps: int = 30):
-    """Search for a with a large gap | ||a* a|| - ||a||^2 | on the twisted part.
+def cstar_identity_witness(e: StandardEmbedding):
+    """A unit-norm a with a* a = 0, so | ||a* a|| - ||a||^2 | = 1.
+
+    On the first -1 block, x = U V* from the SVD of the first basis
+    matrix is a partial isometry; a = (x x* in the L slot, x* in the
+    lower-left slot) / sqrt(2) has norm 1 and a* a = 0 under the twisted
+    product, so the gap attains its supremum at unit norm.  The reported
+    gap is measured with the algebra's own product and norm.
 
     Returns ``(a, gap)`` or None when the embedding has no -1 block, in
     which case the C*-identity holds in the block operator norm.
@@ -630,79 +625,26 @@ def cstar_identity_witness(e: StandardEmbedding, seed: int = 0,
     anti = [i for i, b in enumerate(e.blocks) if b.sign < 0]
     if not anti:
         return None
-    rng = np.random.default_rng(seed)
-
-    def gap_of(coords):
-        n = e.norm(coords)
-        if n == 0:
-            return 0.0
-        aa = e.mul_coords(e.star_coords(coords), coords)
-        return abs(e.norm(aa) - n * n)
-
-    candidates = []
-    for bi in anti:
-        b = e.blocks[bi]
-        offset = sum(blk.dim for blk in e.blocks[:bi])
-        dl, dm, dw, dr = b.dims
-        # structured candidate: alpha = x x*, z = x for a partial isometry x
-        seeds = [b.m_stack[k] for k in range(min(dm, 3))]
-        coeffs = rng.standard_normal(dm) + 1j * rng.standard_normal(dm)
-        seeds.append(np.tensordot(coeffs, b.m_stack, axes=([0], [0])))
-        for gmat in seeds:
-            u, s, vh = np.linalg.svd(gmat)
-            rank = int(np.sum(s > 1e-10 * max(s.max(initial=0.0), 1e-300)))
-            if rank == 0:
-                continue
-            x = u[:, :rank] @ vh[:rank, :]
-            xcoords, res_x = b._proj(b._m_pinv, b.m_stack, x[None])
-            acoords, res_a = b._proj(b._l_pinv, b.l_stack, (x @ x.conj().T)[None])
-            if max(res_x, res_a) > 1e-8:
-                continue
-            v = np.zeros(e.dim, dtype=np.complex128)
-            v[offset:offset + dl] = acoords[0]
-            v[offset + dl:offset + dl + dm] = xcoords[0]
-            candidates.append(v)
-        for _ in range(n_random):
-            v = np.zeros(e.dim, dtype=np.complex128)
-            chunk = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
-            v[offset:offset + b.dim] = chunk
-            n = e.norm(v)
-            if n > 0:
-                candidates.append(v * np.sqrt(2.0) / n)
-
-    best = max(candidates, key=gap_of)
-    best_gap = gap_of(best)
-
-    # crude gradient polish on the best candidate, renormalized each step
-    step = 0.05
-    if best_gap > 0.55:
-        refine_steps = min(refine_steps, 5)
-    for _ in range(refine_steps):
-        grad = np.zeros_like(best)
-        h = 1e-5
-        for k in range(best.size):
-            for delta in (h, 1j * h):
-                trial = best.copy()
-                trial[k] += delta
-                g2 = gap_of(trial)
-                grad[k] += (g2 - best_gap) / h * (1.0 if delta.real else 1.0j)
-        if np.linalg.norm(grad) == 0:
-            break
-        trial = best + step * grad / np.linalg.norm(grad)
-        n = e.norm(trial)
-        if n > 0:
-            trial = trial * np.sqrt(2.0) / n
-        g2 = gap_of(trial)
-        if g2 > best_gap:
-            best, best_gap = trial, g2
-        else:
-            step /= 2.0
-            if step < 1e-4:
-                break
-    if best_gap <= 0.1:
-        raise SolverBudgetExceeded(
-            f"witness search stalled at gap {best_gap:.3f} <= 0.1")
-    return EmbeddingElement(best), float(best_gap)
+    bi = anti[0]
+    b = e.blocks[bi]
+    u, s, vh = np.linalg.svd(b.m_stack[0])
+    rank = int(np.sum(s > 1e-10 * max(s.max(initial=0.0), 1e-300)))
+    x = u[:, :rank] @ vh[:rank, :]
+    xcoords, res_x = b._proj(b._m_pinv, b.m_stack, x[None])
+    acoords, res_a = b._proj(b._l_pinv, b.l_stack, (x @ x.conj().T)[None])
+    if max(res_x, res_a) > 1e-8:
+        raise DecompositionInconclusive(
+            f"partial isometry escapes its corner span "
+            f"(residuals {res_x:.2e}, {res_a:.2e})")
+    dl, dm = b.dims[:2]
+    v = np.zeros(e.dim, dtype=np.complex128)
+    start = e.block_slices[bi].start
+    v[start:start + dl] = acoords[0]
+    # lower-left X = sum_i s_i m_i* equals x* when conj(s) are x's coordinates
+    v[start + dl + dm:start + dl + 2 * dm] = xcoords[0].conj()
+    v /= e.norm(v)
+    gap = abs(e.norm(e.mul_coords(e.star_coords(v), v)) - e.norm(v) ** 2)
+    return EmbeddingElement(v), float(gap)
 
 
 def cstar_identity_residual(e: StandardEmbedding, samples: int = 200,

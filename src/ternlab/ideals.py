@@ -1,9 +1,12 @@
 """Ideals and quotients of C*-ternary rings.
 
 Quotients are represented by structure constants on a Hilbert-Schmidt
-orthogonal complement of the ideal; quotient norms are certified by a
-minimization upper bound paired with a dual lower bound, so the gap is
-always reported rather than hidden.
+orthogonal complement of the ideal.  Quotient norms come in closed
+form: semisimplicity gives a complementary ideal K with M/J = K
+isometrically, so the coset norm is the norm of f with its
+Hilbert-Schmidt projection onto J removed.  That upper bound is paired
+with a dual lower bound, so the gap is always reported rather than
+hidden.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import matkernel as mk
 from .embedding import StandardEmbedding, _assoc_ideal_residual, peirce_split
@@ -259,13 +261,18 @@ def _blockdiag(mats):
 
 
 def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
-                  restarts: int = 4, seed: int = 0) -> QuotientNormResult:
+                  seed: int = 0) -> QuotientNormResult:
     """Certified bounds on the coset norm inf_{j in J} ||f - j||.
 
-    The upper bound minimizes the block operator norm over the ideal
-    (convex, so local polishing from several starts is reliable); the
-    lower bound evaluates the best dual certificate, a unit-trace-norm
-    functional vanishing on J.
+    A C*-ternary ring is semisimple, so J has a complementary ideal K
+    with j* k = 0 = j k*; K is Hilbert-Schmidt orthogonal to J and
+    ||j + k|| = max(||j||, ||k||), hence ||f + J|| = ||f_K||.  The upper
+    bound is the norm of f with its HS projection onto the realized
+    matrices of J removed, an explicit coset member, so it bounds the
+    coset norm from above for any subspace.  The lower bound evaluates
+    a dual certificate at that coset: a unit-trace-norm functional
+    vanishing on J.  ``seed`` is accepted and unused; the result is
+    deterministic.
     """
     m._need_blocks("quotient_norm")
     fv = as_coords(m, f)
@@ -280,51 +287,20 @@ def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
         n = mk.op_norm(fmat)
         return QuotientNormResult(upper=n, lower=n)
     jmats = np.stack([big(j[:, i]) for i in range(nj)])
-
-    def coset(tr):
-        tc = tr[:nj] + 1j * tr[nj:]
-        return fmat - np.tensordot(tc, jmats, axes=([0], [0]))
-
-    def objective(tr):
-        return mk.op_norm(coset(tr))
-
-    def smooth_objective(tr, p=64.0):
-        s = np.linalg.svd(coset(tr), compute_uv=False)
-        top = s.max(initial=0.0)
-        if top == 0.0:
-            return 0.0
-        return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
-
-    rng = np.random.default_rng(seed)
-    # hs-orthogonal projection of f onto J is the exact minimizer for
-    # block-supported ideals and a strong start in general
-    t0 = j.conj().T @ fv
-    starts = [np.concatenate([t0.real, t0.imag]), np.zeros(2 * nj)]
-    for _ in range(restarts):
-        starts.append(rng.standard_normal(2 * nj))
-
-    best_t, best_val = None, np.inf
-    for s0 in starts:
-        res = scipy.optimize.minimize(smooth_objective, s0, method="L-BFGS-B",
-                                      options={"maxiter": 300})
-        res2 = scipy.optimize.minimize(
-            objective, res.x, method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000,
-                     "maxfev": 8000})
-        val = objective(res2.x)
-        if val < best_val:
-            best_t, best_val = res2.x, val
-
-    # dual certificate: top singular pair of the optimal coset, projected
-    # onto the HS-orthocomplement of J, normalized in trace norm
-    x = coset(best_t)
-    u, _, vh = np.linalg.svd(x)
-    w = np.outer(u[:, 0], vh[0, :])  # u1 v1*, the subgradient of the norm
     qj = mk.colspace(jmats.reshape(nj, -1).T)
-    wf = w.ravel() - qj @ (qj.conj().T @ w.ravel())
-    w = wf.reshape(w.shape)
+
+    def drop_j(mat):
+        flat = mat.ravel()
+        return (flat - qj @ (qj.conj().T @ flat)).reshape(mat.shape)
+
+    x = drop_j(fmat)
+    upper = mk.op_norm(x)
+    # dual certificate: top singular pair of the coset member, projected
+    # onto the HS-orthocomplement of J, normalized in trace norm
+    u, _, vh = np.linalg.svd(x)
+    w = drop_j(np.outer(u[:, 0], vh[0, :]))  # u1 v1*, the subgradient of the norm
     tracenorm = float(np.sum(np.linalg.svd(w, compute_uv=False)))
     lower = 0.0
     if tracenorm > 1e-14:
         lower = max(0.0, float(np.real(np.vdot(w, fmat))) / tracenorm)
-    return QuotientNormResult(upper=float(best_val), lower=lower)
+    return QuotientNormResult(upper=upper, lower=lower)

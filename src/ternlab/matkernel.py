@@ -57,10 +57,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(mb, ma))
 
 
-def hs_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 @dataclass(frozen=True)
 class HermEigResult:
     """Spectral data of a Hermitian matrix.

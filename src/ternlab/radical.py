@@ -402,10 +402,6 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
 # Lemma checkers
 
 
-def _qi_exists(result) -> bool:
-    return result is not None
-
-
 def check_corner_qi_equivalence(m: TernarySpace, x=None, u=None,
                                 trials: int = 1, seed: int = 0,
                                 tol: float = DEFAULT_TOL,
@@ -424,10 +420,10 @@ def check_corner_qi_equivalence(m: TernarySpace, x=None, u=None,
              else [(m.random_element(rng).coords, m.random_element(rng).coords)
                    for _ in range(trials)])
     for xv, uv in pairs:
-        tern = _qi_exists(quasi_inverse_ternary(m, xv, uv, tol))
+        tern = quasi_inverse_ternary(m, xv, uv, tol) is not None
         xhat = e.embed_base(xv).coords
         uhat = e.embed_base_conj(uv).coords
-        assoc = _qi_exists(quasi_inverse_assoc(alg, xhat, uhat, tol))
+        assoc = quasi_inverse_assoc(alg, xhat, uhat, tol) is not None
         if tern != assoc:
             return False
     return True
@@ -438,8 +434,8 @@ def check_symmetry_principle(a: AssocAlgebra, x, y,
     """qi(x in A_y) holds iff qi(y in A_x) holds."""
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
-    fwd = _qi_exists(quasi_inverse_assoc(a, x, y, tol))
-    bwd = _qi_exists(quasi_inverse_assoc(a, y, x, tol))
+    fwd = quasi_inverse_assoc(a, x, y, tol) is not None
+    bwd = quasi_inverse_assoc(a, y, x, tol) is not None
     return fwd == bwd
 
 
@@ -458,8 +454,8 @@ def check_shifting_principle(a: AssocAlgebra, phi, psi, x, y,
         _validate_shifting_maps(a, phi, psi, tol=1e-8)
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
-    fwd = _qi_exists(quasi_inverse_assoc(a, x, psi @ y, tol))
-    bwd = _qi_exists(quasi_inverse_assoc(a, phi @ x, y, tol))
+    fwd = quasi_inverse_assoc(a, x, psi @ y, tol) is not None
+    bwd = quasi_inverse_assoc(a, phi @ x, y, tol) is not None
     return fwd == bwd
 
 

@@ -132,6 +132,25 @@ def test_malformed_file_exits_2(tmp_path):
     assert cli.main(["decompose", bad]) == 2
 
 
+BLOCK = {"sign": 1, "rows": 1, "cols": 1, "basis": [[[[1, 0]]]]}
+
+
+@pytest.mark.parametrize("payload", [
+    {"blocks": 7},
+    {"blocks": BLOCK},
+    {"blocks": [3]},
+    {"blocks": [dict(BLOCK, basis=5)]},
+    {"structure_constants": 4},
+    {"blocks": [dict(BLOCK, sign=[1])]},
+], ids=["blocks-number", "blocks-object", "block-number", "basis-number",
+        "structure-constants-number", "sign-list"])
+def test_wrong_json_types_exit_2(tmp_path, payload):
+    bad = _write(tmp_path, "bad.json", dict(payload, name="x"))
+    for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],
+                 ["quotient", "--ideal", bad]):
+        assert cli.main(argv[:1] + [bad] + argv[1:]) == 2, argv
+
+
 def test_reports_deterministic_under_seed(mixed_file):
     a = _run_json(["embed", mixed_file, "--seed", "7", "--samples", "20"])
     b = _run_json(["embed", mixed_file, "--seed", "7", "--samples", "20"])

@@ -230,12 +230,21 @@ def test_peirce_split_rejects_non_ideal(anti_embedding):
         emb.peirce_split(anti_embedding, EYE4[1][:, None])
 
 
-def test_cstar_witness_examples(anti_embedding, tro_embedding):
-    out = emb.cstar_identity_witness(anti_embedding, seed=0)
+def test_cstar_witness_examples(anti_embedding, tro_embedding, catalog):
+    out = emb.cstar_identity_witness(anti_embedding)
     assert out is not None
     a, gap = out
     assert gap > 0.1
-    assert emb.cstar_identity_witness(tro_embedding, seed=0) is None
+    # (E11 + E21) / sqrt(2): alpha = 1 and lower-left 1
+    assert np.allclose(a.coords, np.array([1, 0, 1, 0]) / np.sqrt(2), rtol=0, atol=1e-15)
+    assert emb.cstar_identity_witness(tro_embedding) is None
+    for name, m in catalog:
+        if all(b.sign > 0 for b in m.blocks):
+            continue
+        e = emb.build_embedding(m)
+        a, gap = emb.cstar_identity_witness(e)
+        assert abs(e.norm(a) - 1.0) <= 1e-12, name
+        assert e.norm(e.mul_coords(e.star_coords(a.coords), a.coords)) <= 1e-12, name
     # derived witness: alpha = 1, z = 1
     e = anti_embedding
     aw = np.array([1, 1, 0, 0], dtype=np.complex128)
