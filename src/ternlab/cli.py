@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -80,9 +81,9 @@ def _typed(value, kind, what):
 
 
 def _int(value, what) -> int:
-    if isinstance(value, (list, dict)) or value is None:
+    if type(value) is not int:  # a JSON integer; bool is an int subclass
         raise ValueError(f"{what} must be an integer")
-    return int(value)
+    return value
 
 
 def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
@@ -95,8 +96,11 @@ def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
     if has_blocks == has_struct:
         raise ValueError("exactly one of 'blocks'/'structure_constants' required")
     if has_blocks:
+        entries = _typed(data["blocks"], list, "'blocks'")
+        if not entries:
+            raise ValueError("'blocks' must list at least one block")
         blocks = []
-        for entry in _typed(data["blocks"], list, "'blocks'"):
+        for entry in entries:
             _typed(entry, dict, "each block")
             sign = _int(entry["sign"], "'sign'")
             rows, cols = _int(entry["rows"], "'rows'"), _int(entry["cols"], "'cols'")
@@ -224,10 +228,7 @@ def _cmd_quotient(m, name, args):
 def _cmd_wedderburn(m, name, args):
     e = emb.build_embedding(m)
     alg = rad.assoc_of_embedding(e)
-    n = int(round(np.sqrt(e.dim)))
-    if n * n != e.dim:
-        raise ValueError(f"embedding dimension {e.dim} is not a perfect square; "
-                         "pass an instance whose embedding is a full matrix algebra")
+    n = math.isqrt(e.dim)
     sol = wed.solve_wedderburn(alg, n, seed=args.seed)
     target = rad.matrix_algebra(n)
     _, dev = wed.star_obstruction(sol.phi, alg, target, seed=args.seed)

@@ -97,18 +97,22 @@ class SignedBlock:
         shape = np.shape(mats)[:-2] + (self.dim,)
         return coords.reshape(shape), float(resid.max()) if resid.size else 0.0
 
+    def closure_residual(self) -> float:
+        """Worst relative distance of a basis triple product from the span."""
+        prods = np.einsum("iab,jcb,kcd->ijkad", self.stack, self.stack.conj(),
+                          self.stack, optimize=True)
+        _, resid = self.project(prods.reshape(-1, self.rows, self.cols))
+        return resid / max(1.0, float(np.abs(prods).max(initial=0.0)))
+
     def validate(self, tol: float = DEFAULT_TOL):
         s = np.linalg.svd(self.flat, compute_uv=False)
         if s[-1] <= tol * s[0]:
             raise InvalidInput("block basis is not linearly independent "
                                f"(Gram condition {s[-1] / s[0]:.2e})")
-        prods = np.einsum("iab,jcb,kcd->ijkad", self.stack, self.stack.conj(),
-                          self.stack, optimize=True)
-        _, resid = self.project(prods.reshape(-1, self.rows, self.cols))
-        scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
-        if resid > tol * scale:
+        resid = self.closure_residual()
+        if resid > tol:
             raise InvalidInput(f"block span is not product-closed "
-                               f"(residual {resid / scale:.2e})")
+                               f"(residual {resid:.2e})")
 
 
 @dataclass(frozen=True)
@@ -458,15 +462,21 @@ def check_axioms(m: TernarySpace, samples: int = 500, seed: int = 0,
                  tol: float = AXIOM_TOL) -> AxiomReport:
     """Randomized audit of the C*-ternary axioms.
 
-    Block presentations get the norm axioms and both associativity
-    identities; structure presentations get the algebraic identities
-    only, flagged via ``norm_checked=False``.
+    Block presentations get the ``closure`` residual of each block span
+    under the triple product, then the norm axioms and both
+    associativity identities; a span that is not closed stops the audit
+    there, flagged via ``norm_checked=False``.  Structure presentations
+    get the algebraic identities only, also flagged that way.
     """
     rng = np.random.default_rng(seed)
     d = m.dim
     residuals = {}
     if d == 0:
         return AxiomReport({}, samples, seed, tol, m.is_block)
+    if m.is_block:
+        residuals["closure"] = max(b.closure_residual() for b in m.blocks)
+        if residuals["closure"] > tol:
+            return AxiomReport(residuals, samples, seed, tol, norm_checked=False)
 
     def draw(n):
         return (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2 * d)

@@ -1,10 +1,11 @@
-"""Numeric algebra isomorphisms onto matrix algebras.
+"""Algebra isomorphisms onto matrix algebras, built from a minimal left ideal.
 
-Solves the quadratic homomorphism equations phi(x) phi(y) = phi(xy) by
-Gauss-Newton from random complex starts.  The residuals are holomorphic
-in the unknowns, so the complex least-squares step applies directly.
-Solutions are not canonicalized; only residuals and invertibility are
-contracted.
+A semisimple algebra over C is a sum of matrix algebras M_(n_k).  For a
+generic x, each eigenspace of y -> y x is a minimal left ideal A e of dim
+n_k; a simple A acts faithfully on it by left multiplication, and that
+is the isomorphism onto M_n (Eberly, Comput. Complexity 1, 1991; Murota,
+Kanno, Kojima & Kojima, JJIAM 27, 2010).  Solutions are not
+canonicalized; only residuals and invertibility are contracted.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionInconclusive, PreconditionFailed, SolverBudgetExceeded
-from .radical import AssocAlgebra, jacobson_radical
+from . import matkernel as mk
+from .errors import DecompositionInconclusive, PreconditionFailed
+from .radical import AssocAlgebra, jacobson_radical, matrix_algebra
 
 DEFAULT_TOL = 1e-8
 
@@ -54,99 +56,37 @@ def _epsilon_table(a: AssocAlgebra, n: int) -> dict:
     return out
 
 
-def _residual_vector(a: AssocAlgebra, phi: np.ndarray, n: int, unit):
-    d = a.dim
-    mats = phi.T.reshape(d, n, n)
-    prod = np.einsum("iab,jbc->ijac", mats, mats, optimize=True)
-    inner = np.einsum("ijl,lx->ijx", a.table, phi.T, optimize=True).reshape(d, d, n, n)
-    res = (prod - inner).ravel()
-    if unit is not None:
-        res = np.concatenate([res, (phi @ unit - np.eye(n, dtype=np.complex128).ravel())])
-    return res
-
-
-def _jacobian(a: AssocAlgebra, phi: np.ndarray, n: int, unit):
-    d = a.dim
-    nn = n * n
-    mats = phi.T.reshape(d, n, n)
-    eye = np.eye(n, dtype=np.complex128)
-    jac = np.zeros((d * d * nn + (nn if unit is not None else 0), d * nn),
-                   dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            row = (i * d + j) * nn
-            # d(phi_i phi_j) = dphi_i phi_j + phi_i dphi_j, row-major vec
-            right = np.kron(eye, mats[j].T)
-            left = np.kron(mats[i], eye)
-            jac[row:row + nn, i * nn:(i + 1) * nn] += right
-            jac[row:row + nn, j * nn:(j + 1) * nn] += left
-            for l in range(d):
-                c = a.table[i, j, l]
-                if c != 0:
-                    jac[row:row + nn, l * nn:(l + 1) * nn] -= c * np.eye(nn)
-    if unit is not None:
-        base = d * d * nn
-        for l in range(d):
-            jac[base:base + nn, l * nn:(l + 1) * nn] = unit[l] * np.eye(nn)
-    return jac
-
-
 def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0,
-                     restarts: int = 64, iters: int = 200,
                      tol: float = DEFAULT_TOL) -> WedderburnSolution:
-    """Find an invertible phi with phi(x) phi(y) = phi(xy) onto M_n.
+    """An invertible phi with phi(x) phi(y) = phi(xy) onto M_n, n = target_dim.
 
-    The source must be semisimple with dim = target_dim**2; the unit,
-    when present, is pinned to the identity matrix.  Raises
-    SolverBudgetExceeded when no restart converges.
+    The source must be a full matrix algebra, else PreconditionFailed.
+    ``seed`` chooses the generic element that splits off a minimal left
+    ideal; the unit maps to the identity.  DecompositionInconclusive
+    flags a residual above ``tol`` or a singular phi.
     """
+    n, d = target_dim, a.dim
+    if n < 1 or d != n * n:
+        raise PreconditionFailed(f"source algebra has dim {d}, not that of M_{n} "
+                                 f"({n * n}); it must be a full matrix algebra")
     rad = jacobson_radical(a, verify=False)
     if rad.shape[1] != 0:
         raise PreconditionFailed(f"source algebra has a {rad.shape[1]}-dim radical")
-    n = target_dim
-    d = a.dim
-    if d != n * n:
-        raise PreconditionFailed(f"dim {d} != target_dim^2 = {n * n}")
-    unit = a.unit()
-    rng = np.random.default_rng(seed)
-
-    best = None
-    for _ in range(restarts):
-        phi = (rng.standard_normal((n * n, d)) + 1j * rng.standard_normal((n * n, d)))
-        vec = phi.T.ravel()  # layout: blocks of vec(phi(b_i))
-        for _ in range(iters):
-            phi = vec.reshape(d, n * n).T
-            res = _residual_vector(a, phi, n, unit)
-            rnorm = float(np.linalg.norm(res))
-            if rnorm < 1e-12:
-                break
-            jac = _jacobian(a, phi, n, unit)
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-            t = 1.0
-            for _ in range(20):
-                trial = vec + t * step
-                trial_res = _residual_vector(
-                    a, trial.reshape(d, n * n).T, n, unit)
-                if np.linalg.norm(trial_res) < rnorm:
-                    vec = trial
-                    break
-                t /= 2.0
-            else:
-                break
-        phi = vec.reshape(d, n * n).T
-        res = _residual_vector(a, phi, n, unit)
-        hom = float(np.abs(res[: d * d * n * n]).max(initial=0.0))
-        s = np.linalg.svd(phi, compute_uv=False)
-        cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-        if hom <= tol and np.isfinite(cond) and cond < 1e8:
-            sol = WedderburnSolution(
-                phi=phi, target_dim=n, residual=hom, condition=cond,
-                epsilon=_epsilon_table(a, n))
-            return sol
-        if best is None or hom < best:
-            best = hom
-    raise SolverBudgetExceeded(
-        f"no isomorphism found in {restarts} restarts (best residual {best:.2e})")
+    right = a.right_op(a.random_element(np.random.default_rng(seed)))
+    lam = np.linalg.eigvals(right)[0]
+    _, s, vh = np.linalg.svd(right - lam * np.eye(d))
+    ideal_dim = int(np.sum(s <= tol * mk.op_norm(right)))
+    if ideal_dim != n:
+        raise PreconditionFailed(f"source algebra is not simple: a minimal left ideal "
+                                 f"has dim {ideal_dim}, not {n}; it must be M_{n}")
+    q = vh[-n:].conj().T  # orthonormal basis of the left ideal A e
+    phi = np.stack([(q.conj().T @ a.left_op(e) @ q).ravel() for e in np.eye(d)], 1)
+    rep = verify_isomorphism(phi, a, matrix_algebra(n))
+    if rep.max_residual > tol or not rep.invertible:
+        raise DecompositionInconclusive(f"isomorphism residual {rep.max_residual:.2e}, "
+                                        f"condition {rep.condition:.2e}")
+    return WedderburnSolution(phi=phi, target_dim=n, residual=rep.max_residual,
+                              condition=rep.condition, epsilon=_epsilon_table(a, n))
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,29 @@ def test_wedderburn_command(tmp_path):
     assert rep["details"]["star_deviation"] > 0.1
 
 
+@pytest.mark.parametrize("name, code", [("full-2x2-anti", 0), ("mix-closures", 2)])
+def test_wedderburn_command_beyond_m2(tmp_path, catalog, name, code):
+    # full-2x2-anti embeds as M_4; mix-closures has dim 16 but is not simple
+    path = _write(tmp_path, "inst.json", cli.to_instance_dict(dict(catalog)[name], name))
+    out = io.StringIO()
+    assert cli.main(["wedderburn", path, "--format", "json"], out=out) == code
+    if code == 0:
+        rep = json.loads(out.getvalue())
+        assert rep["details"]["target_dim"] == 4
+        assert rep["details"]["residual"] <= 1e-8
+
+
+def test_verify_non_closed_block_names_closure(tmp_path):
+    path = _write(tmp_path, "open.json", {"name": "open", "blocks": [
+        {"sign": 1, "rows": 2, "cols": 2, "basis": [[[[1, 0], [2, 0]], [[0, 0], [1, 0]]]]}]})
+    code, rep = _run_json(["verify", path])
+    assert code == 1
+    assert rep["details"]["failing_identity"] == "closure"
+    assert rep["details"]["failing_residual"] > 1e-8
+    for argv in (["decompose"], ["embed"], ["radical"], ["wedderburn"]):
+        assert cli.main(argv + [path]) == 2, argv
+
+
 def test_demo_m2_anti_table():
     code, rep = _run_json(["demo", "m2-anti"])
     assert code == 0
@@ -142,8 +165,12 @@ BLOCK = {"sign": 1, "rows": 1, "cols": 1, "basis": [[[[1, 0]]]]}
     {"blocks": [dict(BLOCK, basis=5)]},
     {"structure_constants": 4},
     {"blocks": [dict(BLOCK, sign=[1])]},
+    {"blocks": []},
+    {"blocks": [dict(BLOCK, rows=1.5)]},
+    {"blocks": [dict(BLOCK, rows=True)]},
 ], ids=["blocks-number", "blocks-object", "block-number", "basis-number",
-        "structure-constants-number", "sign-list"])
+        "structure-constants-number", "sign-list", "blocks-empty", "rows-float",
+        "rows-bool"])
 def test_wrong_json_types_exit_2(tmp_path, payload):
     bad = _write(tmp_path, "bad.json", dict(payload, name="x"))
     for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],

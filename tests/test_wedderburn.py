@@ -58,6 +58,24 @@ def test_solver_on_twisted_algebra(anti_m2, m2x):
     assert np.allclose(sol.apply(unit), np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_construction_onto_m_n(n):
+    twisted = emb.build_embedding(tern.full_matrix_space(n // 2, n - n // 2, -1))
+    for a in (rad.matrix_algebra(n), rad.assoc_of_embedding(twisted)):
+        sol = wed.solve_wedderburn(a, n, seed=n)
+        assert sol.residual <= 1e-8
+        assert sol.condition < 1e8
+        assert np.allclose(sol.apply(a.unit()), np.eye(n), atol=1e-10)
+
+
+def test_construction_rejects_non_simple(catalog):
+    # a direct sum of smaller matrix algebras whose dim happens to be 4^2
+    e = emb.build_embedding(dict(catalog)["mix-closures"])
+    assert e.dim == 16
+    with pytest.raises(PreconditionFailed, match="not simple"):
+        wed.solve_wedderburn(rad.assoc_of_embedding(e), 4)
+
+
 def test_solution_satisfies_quadratic_equation_system(anti_m2):
     # sum_q a_ijpq a_jlqs = eps(ijl) a_ilps over all p, s, i, j, l
     sol = wed.solve_wedderburn(anti_m2, 2, seed=1)
