@@ -127,7 +127,6 @@ def load_instance(path: str, validate: bool = True) -> tuple:
 
 def _demo_spaces() -> dict:
     return {
-        "m2-anti": lambda: tern.scalar_space(-1),
         "scalar-tro": lambda: tern.scalar_space(+1),
         "scalar-anti": lambda: tern.scalar_space(-1),
         "mixed-2": lambda: tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1)),
@@ -135,7 +134,8 @@ def _demo_spaces() -> dict:
     }
 
 
-DEMO_NAMES = tuple(sorted(_demo_spaces()))
+# m2-anti prints the twisted 2x2 table instead of checking a space
+DEMO_NAMES = tuple(sorted([*_demo_spaces(), "m2-anti"]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +296,11 @@ def _cmd_demo_m2_anti(args, out):
 
 def _cmd_demo(args, out):
     name = args.name
+    if name == "m2-anti":
+        return _cmd_demo_m2_anti(args, out)
     spaces = _demo_spaces()
     if name not in spaces:
         raise ValueError(f"unknown demo '{name}'; available: {', '.join(DEMO_NAMES)}")
-    if name == "m2-anti":
-        return _cmd_demo_m2_anti(args, out)
     m = spaces[name]()
     axioms = tern.check_axioms(m, samples=args.samples, seed=args.seed, tol=args.tol)
     split = tern.zettl_decompose(m, seed=args.seed)

@@ -192,9 +192,6 @@ class StandardEmbedding:
             start += b.dim
         return {k: np.asarray(v, dtype=int) for k, v in out.items()}
 
-    def _corner_coords(self, elem_coords, corner):
-        return np.asarray(elem_coords)[..., self.corner_indices[corner]]
-
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> EmbeddingElement:

@@ -170,6 +170,19 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
     return span
 
 
+def _same_space(p: TernarySpace, m: TernarySpace) -> bool:
+    """Whether p is m or presents the same space: equal blocks, or equal c."""
+    if p is m:
+        return True
+    if p.is_block != m.is_block:
+        return False
+    if not m.is_block:
+        return np.array_equal(p.structure.c, m.structure.c)
+    return len(p.blocks) == len(m.blocks) and all(
+        a.sign == b.sign and np.array_equal(a.stack, b.stack)
+        for a, b in zip(p.blocks, m.blocks))
+
+
 def quotient(m: TernarySpace, ideal: TernaryIdeal, tol: float = DEFAULT_TOL,
              seed: int = 0, check_samples: int = 20) -> TernarySpace:
     """The quotient ternary ring on an orthogonal complement of the ideal.
@@ -178,12 +191,10 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal, tol: float = DEFAULT_TOL,
     independence: products of perturbed coset representatives agree
     within tolerance.
     """
-    if ideal.parent is not m and not np.array_equal(
-            np.asarray(ideal.parent.dim), np.asarray(m.dim)):
+    if not _same_space(ideal.parent, m):
         raise NotAnIdeal("ideal does not belong to this space")
     if not is_ideal(m, ideal.basis, max(tol, 1e-8)):
         raise NotAnIdeal("subspace fails the ternary ideal containments")
-    d = m.dim
     j = ideal.basis
     comp = mk.nullspace(j.conj().T)
     k = comp.shape[1]
@@ -198,10 +209,7 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal, tol: float = DEFAULT_TOL,
         return (np.asarray(vecs) @ inv.T)[..., j.shape[1]:]
 
     cols = comp.T
-    xs = np.repeat(np.repeat(cols[:, None, None, :], k, 1), k, 2).reshape(-1, d)
-    ys = np.repeat(np.repeat(cols[None, :, None, :], k, 0), k, 2).reshape(-1, d)
-    zs = np.repeat(np.repeat(cols[None, None, :, :], k, 0), k, 1).reshape(-1, d)
-    c = quot_coords(_triple_coords(m, xs, ys, zs)).reshape(k, k, k, k)
+    c = quot_coords(_triple_coords(m, cols[:, None, None], cols[None, :, None], cols[None, None]))
 
     rng = np.random.default_rng(seed)
     worst = 0.0

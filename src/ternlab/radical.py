@@ -59,14 +59,17 @@ class AssocAlgebra:
         return self.table.shape[0]
 
     def validate(self, tol: float = DEFAULT_TOL):
-        t = self.table
+        t, d = self.table, self.dim
         scale = max(1.0, float(np.abs(t).max(initial=0.0)) ** 2)
         resid = 0.0
-        # chunk over the first index to keep the 4-way tensor small
-        for i in range(self.dim):
-            lhs = np.einsum("jm,mkl->jkl", t[i], t, optimize=True)
-            rhs = np.einsum("jkm,ml->jkl", t, t[i], optimize=True)
-            resid = max(resid, float(np.abs(lhs - rhs).max(initial=0.0)))
+        # (b_i b_j) b_k against b_i (b_j b_k), both laid out as (j, k, l)
+        lhs = np.empty((d, d * d), dtype=np.complex128)
+        rhs = np.empty((d * d, d), dtype=np.complex128)
+        for i in range(d):
+            np.matmul(t[i], t.reshape(d, d * d), out=lhs)
+            np.matmul(t.reshape(d * d, d), t[i], out=rhs)
+            rhs -= lhs.reshape(rhs.shape)
+            resid = max(resid, float(np.abs(rhs).max()))
         if resid / scale > tol:
             raise InvalidInput(f"product is not associative on the basis "
                                f"(residual {resid / scale:.2e})")
@@ -257,11 +260,10 @@ def _quotient_algebra(a: AssocAlgebra, ideal: np.ndarray,
         return AssocAlgebra(table=np.zeros((0, 0, 0), dtype=np.complex128))
     full = np.hstack([ideal, comp])
     inv = np.linalg.pinv(full)
-    table = np.zeros((k, k, k), dtype=np.complex128)
-    for i in range(k):
-        prods = a.mul(np.broadcast_to(comp[:, i], (k, a.dim)), comp.T)
-        table[i] = (prods @ inv.T)[:, ideal.shape[1]:]
-    return AssocAlgebra(table=table)
+    # [i, j] holds the product of complement columns i and j
+    d = a.dim
+    prods = comp.T @ (comp.T @ a.table.reshape(d, d * d)).reshape(k, d, d)
+    return AssocAlgebra(table=(prods @ inv.T)[..., ideal.shape[1]:])
 
 
 def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
@@ -333,14 +335,13 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     # right operators: R(b_j, b_k)[l, i] = c[i, j, k, l]
     rten = np.einsum("ijkl->jkli", c)
 
-    def pair_span(ten):
-        # pairs (T[i,j], conj(T[j,i])) stacked as vectors
-        fwd = ten.reshape(d * d, d * d)
-        bwd = np.einsum("ijlk->jilk", ten.reshape(d, d, d, d)).conj().reshape(d * d, d * d)
-        return mk.colspace(np.hstack([fwd, bwd]).T, tol)
+    def pairs(ten):
+        # (T[i,j], conj(T[j,i])) for every (i, j), as (d, d, 2 d^2)
+        return np.stack([ten, ten.swapaxes(0, 1).conj()], axis=2).reshape(d, d, -1)
 
-    l_basis = pair_span(lten)          # columns: vec(P) ++ vec(Ptilde)
-    r_basis = pair_span(rten)
+    l_pairs, r_pairs = pairs(lten), pairs(rten)
+    l_basis = mk.colspace(l_pairs.reshape(d * d, -1).T, tol)   # columns: vec(P) ++ vec(Ptilde)
+    r_basis = mk.colspace(r_pairs.reshape(d * d, -1).T, tol)
     dk, dr = l_basis.shape[1], r_basis.shape[1]
     n = dk + d + d + dr
     sl_a = slice(0, dk)
@@ -348,51 +349,30 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     sl_g = slice(dk + d, dk + 2 * d)
     sl_b = slice(dk + 2 * d, n)
 
-    l_pinv = np.linalg.pinv(l_basis)
-    r_pinv = np.linalg.pinv(r_basis)
+    def coords(basis, prods, corner):
+        # coordinates of stacked pairs (..., 2 d^2) in the orthonormal basis,
+        # each pair checked against its span
+        cs = prods @ basis.conj()
+        resid = np.linalg.norm(cs @ basis.T - prods, axis=-1)
+        if np.any(resid > 1e-7 * np.maximum(1.0, np.linalg.norm(prods, axis=-1))):
+            raise DecompositionInconclusive(f"envelope product left the {corner}-corner span")
+        return cs
 
-    def l_pair(acoords):
-        v = l_basis @ acoords
-        return v[: d * d].reshape(d, d), v[d * d:].reshape(d, d)
-
-    def r_pair(bcoords):
-        v = r_basis @ bcoords
-        return v[: d * d].reshape(d, d), v[d * d:].reshape(d, d)
-
-    def mul(xa, xb):
-        a1, a2 = l_pair(xa[sl_a])
-        b1, b2 = r_pair(xa[sl_b])
-        f, s = xa[sl_f], xa[sl_g]
-        a1p, a2p = l_pair(xb[sl_a])
-        b1p, b2p = r_pair(xb[sl_b])
-        fp, sp = xb[sl_f], xb[sl_g]
-        # corner products, all bilinear in the stored coordinates
-        pa1 = a1 @ a1p + np.einsum("i,j,ijlk->lk", f, sp, lten, optimize=True)
-        pa2 = a2p @ a2 + np.einsum("i,j,ijlk->lk", sp, f, lten.conj(), optimize=True)
-        pf = a1 @ fp + b1p @ f
-        ps = a2p @ s + b2 @ sp
-        pb1 = b1p @ b1 + np.einsum("j,k,jkli->li", s, fp, rten, optimize=True)
-        pb2 = b2 @ b2p + np.einsum("j,k,jkli->li", fp, s, rten.conj(), optimize=True)
-        out = np.zeros(n, dtype=np.complex128)
-        pav = np.concatenate([pa1.ravel(), pa2.ravel()])
-        out[sl_a] = l_pinv @ pav
-        if float(np.linalg.norm(l_basis @ out[sl_a] - pav)) > 1e-7 * max(
-                1.0, float(np.linalg.norm(pav))):
-            raise DecompositionInconclusive("envelope product left the A-corner span")
-        out[sl_f] = pf
-        out[sl_g] = ps
-        pbv = np.concatenate([pb1.ravel(), pb2.ravel()])
-        out[sl_b] = r_pinv @ pbv
-        if float(np.linalg.norm(r_basis @ out[sl_b] - pbv)) > 1e-7 * max(
-                1.0, float(np.linalg.norm(pbv))):
-            raise DecompositionInconclusive("envelope product left the B-corner span")
-        return out
-
-    eye = np.eye(n, dtype=np.complex128)
+    # the pairs (a1, a2) of the A basis and (b1, b2) of the B basis
+    a1, a2 = l_basis.T.reshape(dk, 2, d, d).transpose(1, 0, 2, 3)
+    b1, b2 = r_basis.T.reshape(dr, 2, d, d).transpose(1, 0, 2, 3)
+    # the eight nonzero corner blocks of the product of basis elements
     table = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = mul(eye[i], eye[j])
+    aa = np.stack([a1[:, None] @ a1, a2 @ a2[:, None]], axis=2)
+    table[sl_a, sl_a, sl_a] = coords(l_basis, aa.reshape(dk, dk, 2 * d * d), "A")
+    table[sl_f, sl_g, sl_a] = coords(l_basis, l_pairs, "A")        # f s'
+    bb = np.stack([b1 @ b1[:, None], b2[:, None] @ b2], axis=2)
+    table[sl_b, sl_b, sl_b] = coords(r_basis, bb.reshape(dr, dr, 2 * d * d), "B")
+    table[sl_g, sl_f, sl_b] = coords(r_basis, r_pairs, "B")        # s f'
+    table[sl_a, sl_f, sl_f] = a1.transpose(0, 2, 1)                # a1 f'
+    table[sl_f, sl_b, sl_f] = b1.transpose(2, 0, 1)                # b1' f
+    table[sl_g, sl_a, sl_g] = a2.transpose(2, 0, 1)                # a2' s
+    table[sl_b, sl_g, sl_g] = b2.transpose(0, 2, 1)                # b2 s'
     alg = AssocAlgebra(table=table)
     alg.validate(max(tol, 1e-8))
     return alg, np.arange(dk, dk + d)

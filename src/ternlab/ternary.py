@@ -144,14 +144,19 @@ class StructureConstants:
             return 0.0
         scale = max(1.0, float(np.abs(c).max()) ** 2)
         worst = 0.0
-        # [[xyz]uv] against [x[uzy]v] and [xy[zuv]], chunked over the
-        # first index to keep the 6-way tensor small.
+        # [[xyz]uv] against [x[uzy]v] and [xy[zuv]] for x = b_i, each side a
+        # matmul laid out as (j, k, u, v, l); cbar[j, k, u, m] = conj(c[u, k, j, m])
+        cbar = c.conj().transpose(2, 1, 0, 3).reshape(d ** 3, d)
+        lhs = np.empty((d ** 2, d ** 3), dtype=np.complex128)
+        rhs = np.empty((d ** 3, d ** 2), dtype=np.complex128)
         for i in range(d):
-            lhs = np.einsum("jkm,muvl->jkuvl", c[i], c, optimize=True)
-            rhs1 = np.einsum("ukjm,mvl->jkuvl", c.conj(), c[i], optimize=True)
-            rhs2 = np.einsum("kuvm,jml->jkuvl", c, c[i], optimize=True)
-            worst = max(worst, float(np.abs(lhs - rhs1).max()),
-                        float(np.abs(lhs - rhs2).max()))
+            np.matmul(c[i].reshape(d ** 2, d), c.reshape(d, d ** 3), out=lhs)
+            np.matmul(cbar, c[i].reshape(d, d ** 2), out=rhs)
+            rhs -= lhs.reshape(rhs.shape)
+            worst = max(worst, float(np.abs(rhs).max()))
+            np.matmul(c.reshape(d ** 3, d), c[i], out=rhs.reshape(d, d ** 3, d))
+            rhs -= lhs.reshape(rhs.shape)
+            worst = max(worst, float(np.abs(rhs).max()))
         return worst / scale
 
     def validate(self, tol: float = DEFAULT_TOL):
@@ -311,8 +316,20 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
         if not outs:
             return np.zeros(xs.shape, dtype=np.complex128)
         return np.concatenate(outs, axis=-1)
-    return np.einsum("ijkl,...i,...j,...k->...l", m.structure.c,
-                     xs, ys.conj(), zs, optimize=True)
+    # x @ c, then batched matvecs with conj(y) and z, over row chunks whose
+    # partial product holds at most max(d^4, 2^16) entries: no more than c,
+    # yet enough rows that small d does not pay a Python iteration per row
+    c, d = m.structure.c, m.dim
+    xs, ys, zs = np.broadcast_arrays(xs, ys, zs)
+    rows = int(np.prod(xs.shape[:-1]))
+    x, y, z = (w.reshape(rows, d) for w in (xs, ys, zs))
+    out = np.empty((rows, d), dtype=np.complex128)
+    step = max(d, 2 ** 16 // max(d, 1) ** 3)
+    for s in range(0, rows, step):
+        t = x[s:s + step] @ c.reshape(d, d ** 3)
+        t = y[s:s + step, None].conj() @ t.reshape(len(t), d, d ** 2)
+        out[s:s + step] = (z[s:s + step, None] @ t.reshape(len(t), d, d))[:, 0]
+    return out.reshape(xs.shape)
 
 
 def triple(m: TernarySpace, x, y, z, tol: float = DEFAULT_TOL) -> TernaryElement:
@@ -333,13 +350,9 @@ def structure_constants_of(m: TernarySpace, tol: float = 1e-10) -> StructureCons
     """Project basis triple products onto the basis."""
     if not m.is_block:
         return m.structure
-    d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
-    xs = eye[:, None, None, :] * np.ones((1, d, d, 1))
-    ys = eye[None, :, None, :] * np.ones((d, 1, d, 1))
-    zs = eye[None, None, :, :] * np.ones((d, d, 1, 1))
-    c = _triple_coords(m, xs.reshape(-1, d), ys.reshape(-1, d), zs.reshape(-1, d), tol)
-    return StructureConstants(dim=d, c=c.reshape(d, d, d, d))
+    eye = np.eye(m.dim, dtype=np.complex128)
+    c = _triple_coords(m, eye[:, None, None], eye[None, :, None], eye[None, None], tol)
+    return StructureConstants(dim=m.dim, c=c)
 
 
 def as_structure_space(m: TernarySpace) -> TernarySpace:
@@ -586,20 +599,15 @@ def _subspace_restriction(m: TernarySpace, basis: np.ndarray,
     k = basis.shape[1]
     if k == 0:
         return _empty_space()
-    d = m.dim
     cols = basis.T  # (k, d)
-    xs = np.repeat(np.repeat(cols[:, None, None, :], k, 1), k, 2).reshape(-1, d)
-    ys = np.repeat(np.repeat(cols[None, :, None, :], k, 0), k, 2).reshape(-1, d)
-    zs = np.repeat(np.repeat(cols[None, None, :, :], k, 0), k, 1).reshape(-1, d)
-    prods = _triple_coords(m, xs, ys, zs)
+    prods = _triple_coords(m, cols[:, None, None], cols[None, :, None], cols[None, None])
     inside = prods @ basis.conj()
     resid = float(np.abs(prods - inside @ basis.T).max(initial=0.0))
     scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
     if resid > tol * scale:
         raise DecompositionInconclusive(
             f"subspace is not product-closed (residual {resid / scale:.2e})")
-    c = inside.reshape(k, k, k, k)
-    return TernarySpace(structure=StructureConstants(k, c))
+    return TernarySpace(structure=StructureConstants(k, inside))
 
 
 def zettl_decompose(m: TernarySpace, seed: int = 0, tol: float = 1e-8) -> ZettlSplit:

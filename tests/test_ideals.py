@@ -198,3 +198,22 @@ def test_quotient_cstar_identity():
         fff = tern.triple(m, f, f, f).coords
         ub3 = idl.quotient_norm(m, ideal, fff).upper
         assert abs(ub3 - 1.0) <= 1e-5
+
+
+def test_quotient_rejects_ideal_of_another_space():
+    e0 = np.eye(2, dtype=np.complex128)[0]
+    mixed = tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))
+    ideal = idl.generated_ideal(mixed, [e0])
+    # same dimension, another space
+    with pytest.raises(NotAnIdeal, match="does not belong"):
+        idl.quotient(tern.diagonal_space(2, +1), ideal)
+    # the same space in the other presentation
+    with pytest.raises(NotAnIdeal, match="does not belong"):
+        idl.quotient(tern.as_structure_space(mixed), ideal)
+    # a second copy of the same presentation is the same space
+    twin = tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))
+    assert idl.quotient(twin, ideal).dim == 1
+    s_ideal = idl.generated_ideal(tern.as_structure_space(mixed), [e0])
+    assert idl.quotient(tern.as_structure_space(twin), s_ideal).dim == 1
+    with pytest.raises(NotAnIdeal, match="does not belong"):
+        idl.quotient(tern.as_structure_space(tern.diagonal_space(2, +1)), s_ideal)

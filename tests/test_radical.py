@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import scramble
 from ternlab import embedding as emb
 from ternlab import radical as rad
 from ternlab import ternary as tern
-from ternlab.errors import BorderlineWarning, PreconditionFailed
+from ternlab.errors import BorderlineWarning, InvalidInput, PreconditionFailed
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +231,37 @@ def test_borderline_warning_emitted():
     with pytest.warns(BorderlineWarning):
         out = rad.quasi_inverse_assoc(c, [1.0], [0.5], tol=1e-18)
     assert out is None
+
+
+def test_structure_envelope_reproduces_triple(catalog):
+    # (x in M)(ybar in Mbar)(z in M) is [xyz] in the M slot, either way round
+    rng = np.random.default_rng(12)
+    for _, m in catalog:
+        if m.dim > 6:
+            continue
+        ms, _ = scramble(m, rng)
+        d = ms.dim
+        alg, m_idx = rad.structure_envelope(ms)
+        x, y, z = (rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+                   for _ in range(3))
+
+        def put(v, idx):
+            out = np.zeros((5, alg.dim), dtype=np.complex128)
+            out[:, idx] = v
+            return out
+
+        # the Mbar slot follows M and stores conjugated coordinates
+        xe, ye, ze = put(x, m_idx), put(y.conj(), m_idx + d), put(z, m_idx)
+        want = put(tern._triple_coords(ms, x, y, z), m_idx)
+        scale = max(1.0, float(np.abs(want).max()))
+        for got in (alg.mul(alg.mul(xe, ye), ze), alg.mul(xe, alg.mul(ye, ze))):
+            assert np.abs(got - want).max() <= 1e-10 * scale
+
+
+def test_validate_detects_corruption():
+    alg = rad.matrix_algebra(3)
+    alg.validate()
+    t = np.array(alg.table)
+    t[1, 3, 0] += 1e-3
+    with pytest.raises(InvalidInput, match="not associative"):
+        rad.AssocAlgebra(table=t).validate()

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import scramble
 from ternlab import matkernel as mk
 from ternlab import ternary as tern
 from ternlab.errors import (
@@ -268,3 +271,48 @@ def test_associativity_on_random_quintuples(catalog):
         rep = tern.check_axioms(m, samples=500, seed=11)
         assert rep.residuals["assoc_outer"] <= 1e-8
         assert rep.residuals["assoc_inner"] <= 1e-8
+
+
+@pytest.mark.parametrize("d", [0, 1, 3, 6, 16])
+def test_structure_triple_matches_einsum(d):
+    rng = np.random.default_rng(d)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    c = draw(d, d, d, d)
+    m = tern.TernarySpace(structure=tern.StructureConstants(d, c))
+    n = 2 * d + 1
+    # 1001 rows span several row chunks for d >= 6 and end in a partial one
+    for shapes in (((d,),) * 3, ((1001, d),) * 3, ((2, 3, d),) * 3,
+                   ((d,), (n, d), (2, n, d))):
+        xs, ys, zs = (draw(*s) for s in shapes)
+        got = tern._triple_coords(m, xs, ys, zs)
+        ref = np.einsum("ijkl,...i,...j,...k->...l", c, xs, ys.conj(), zs,
+                        optimize=False)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
+def _assoc_residual_reference(c):
+    """The basis-level associativity residual, one quintuple at a time."""
+    d = c.shape[0]
+    worst = 0.0
+    for i, j, k, u, v in itertools.product(range(d), repeat=5):
+        lhs = c[i, j, k] @ c[:, u, v]           # [[b_i b_j b_k] b_u b_v]
+        mid = c[u, k, j].conj() @ c[i, :, v]    # [b_i [b_u b_k b_j] b_v]
+        rgt = c[k, u, v] @ c[i, j]              # [b_i b_j [b_k b_u b_v]]
+        worst = max(worst, np.abs(lhs - mid).max(), np.abs(lhs - rgt).max())
+    return worst / max(1.0, np.abs(c).max() ** 2)
+
+
+def test_associativity_residual_matches_reference(catalog):
+    ms, _ = scramble(dict(catalog)["full-2x2-anti"], np.random.default_rng(8))
+    c = np.array(ms.structure.c)
+    ref = _assoc_residual_reference(c)
+    assert ms.structure.associativity_residual() == pytest.approx(ref, rel=1e-12, abs=1e-14)
+    c[1, 2, 0, 3] += 1e-3 * np.abs(c).max()
+    bad = tern.StructureConstants(4, c)
+    ref = _assoc_residual_reference(c)
+    assert ref > 1e-5
+    assert bad.associativity_residual() == pytest.approx(ref, rel=1e-12)

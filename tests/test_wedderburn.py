@@ -155,3 +155,13 @@ def test_det_invertibility_agrees_with_solvability(anti_m2):
         wed.det_invertibility(anti_m2, v)  # raises on any disagreement
     # singular but nonzero element: ad + bc = 1 - 1 = 0
     assert not wed.det_invertibility(anti_m2, [1, 1, -1, 1])
+
+
+def test_verify_isomorphism_matches_pairwise_products():
+    a = rad.assoc_of_embedding(emb.build_embedding(tern.full_matrix_space(1, 2, -1)))
+    b = rad.matrix_algebra(3)
+    phi = np.random.default_rng(3).standard_normal((9, 9)) + 0j
+    worst = max(np.abs(phi @ a.table[i, j] - b.mul(phi[:, i], phi[:, j])).max()
+                for i in range(9) for j in range(9))
+    rep = wed.verify_isomorphism(phi, a, b)
+    assert rep.max_residual == pytest.approx(worst, rel=1e-12)
