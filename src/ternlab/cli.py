@@ -169,10 +169,12 @@ def _cmd_embed(m, name, args):
     unit = emb.identity_of(e)
     gap = emb.pi_kernel_gap(e)
     rng = np.random.default_rng(args.seed)
+    pairs = np.array([[e.random_element(rng).coords for _ in range(2)] for _ in range(50)])
+    # xy is the direct product, so this checks pi's table against mul_coords
+    products = e.mul_coords(pairs[:, 0], pairs[:, 1])
     hom_resid = 0.0
-    for _ in range(50):
-        x, y = e.random_element(rng).coords, e.random_element(rng).coords
-        lhs = emb.pi_represent(e, e.mul_coords(x, y)).matrix
+    for (x, y), xy in zip(pairs, products):
+        lhs = emb.pi_represent(e, xy).matrix
         rhs = emb.pi_represent(e, x).matrix @ emb.pi_represent(e, y).matrix
         hom_resid = max(hom_resid, float(np.abs(lhs - rhs).max(initial=0.0)))
     wit = emb.cstar_identity_witness(e)
@@ -190,12 +192,12 @@ def _cmd_embed(m, name, args):
 
 
 def _cmd_radical(m, name, args):
-    basis = rad.ternary_radical(m, seed=args.seed)
+    e = emb.build_embedding(m) if m.is_block else None
+    alg = rad.assoc_of_embedding(e) if m.is_block else None
+    basis = rad.ternary_radical(m, seed=args.seed, embedding=e, algebra=alg)
     details = {"radical_dim": int(basis.shape[1]),
                "semisimple": basis.shape[1] == 0}
     if m.is_block:
-        e = emb.build_embedding(m)
-        alg = rad.assoc_of_embedding(e)
         erad = rad.jacobson_radical(alg, seed=args.seed)
         details["embedding_radical_dim"] = int(erad.shape[1])
     # valid instances are semisimple; a nonzero radical is a property failure

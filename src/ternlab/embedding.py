@@ -260,6 +260,19 @@ class StandardEmbedding:
         return np.concatenate([np.broadcast_to(o, lead + o.shape[-1:]) for o in out],
                               axis=-1)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``table[i, j]`` = coordinates of e_i e_j, built by ``mul_coords`` (so
+        every basis product passes its span check) about 1024 products a call."""
+        d = self.dim
+        eye = np.eye(d, dtype=np.complex128)
+        table = np.empty((d, d, d), dtype=np.complex128)
+        step = max(1, 1024 // max(d, 1))
+        for i in range(0, d, step):
+            table[i:i + step] = self.mul_coords(eye[i:i + step, None], eye[None])
+        table.flags.writeable = False
+        return table
+
     def star_coords(self, coords):
         """Involution on coordinates: the adjoint of the block matrix."""
         mats = self.materialize(coords)
@@ -328,8 +341,8 @@ def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> EmbeddingElement:
     unit = EmbeddingElement(np.concatenate(chunks) if chunks
                             else np.zeros(0, dtype=np.complex128))
     eye = np.eye(e.dim, dtype=np.complex128)
-    left = e.mul_coords(unit.coords, eye)
-    right = e.mul_coords(eye, unit.coords)
+    left = unit.coords @ e.table.swapaxes(0, 1)    # row j: u e_j
+    right = unit.coords @ e.table                  # row i: e_i u
     resid = max(float(np.abs(left - eye).max(initial=0.0)),
                 float(np.abs(right - eye).max(initial=0.0)))
     if resid > tol * max(1.0, float(np.abs(unit.coords).max(initial=0.0))):
@@ -353,34 +366,22 @@ class PiOperator:
         return self.matrix @ np.asarray(coords, dtype=np.complex128)
 
 
-def _pi_slot_basis(e: StandardEmbedding):
-    """Embedding coordinates of the M ⊕ R slots, as rows."""
-    idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
-    rows = np.zeros((idx.size, e.dim), dtype=np.complex128)
-    rows[np.arange(idx.size), idx] = 1.0
-    return rows, idx
-
-
 def pi_represent(e: StandardEmbedding, a) -> PiOperator:
     """Left action of ``a`` on the M ⊕ R column, as a matrix."""
     ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
-    rows, idx = _pi_slot_basis(e)
-    prods = e.mul_coords(ca[None, :], rows)
-    mat = prods[:, idx].T
+    d = e.dim
+    idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
+    # row j of the product matrix holds the coordinates of a e_j
+    mat = (ca @ e.table.reshape(d, d * d)).reshape(d, d)[np.ix_(idx, idx)].T
     return PiOperator(matrix=mat, dim_m=e.corner_indices["M"].size,
                       dim_r=e.corner_indices["R"].size)
 
 
 def pi_kernel_gap(e: StandardEmbedding) -> float:
     """Smallest over largest singular value of the map a -> pi(a)."""
-    rows, idx = _pi_slot_basis(e)
-    cols = []
-    for i in range(e.dim):
-        unit = np.zeros(e.dim, dtype=np.complex128)
-        unit[i] = 1.0
-        prods = e.mul_coords(unit[None, :], rows)
-        cols.append(prods[:, idx].ravel())
-    stacked = np.stack(cols, axis=1)
+    idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
+    # column i: the entries of pi(e_i)
+    stacked = e.table[:, idx][:, :, idx].reshape(e.dim, -1).T
     s = np.linalg.svd(stacked, compute_uv=False)
     return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 

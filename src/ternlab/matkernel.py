@@ -123,7 +123,8 @@ def nullspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    # a tall matrix's thin Vᴴ is already square; only a wide one needs the full Vᴴ
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if s.size == 0 or s[0] == 0.0:
         return np.eye(m.shape[1], dtype=np.complex128)
     rank = int(np.sum(s > tol * s[0]))

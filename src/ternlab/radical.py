@@ -75,15 +75,19 @@ class AssocAlgebra:
                                f"(residual {resid / scale:.2e})")
 
     def mul(self, x, y) -> np.ndarray:
-        return np.einsum("ijl,...i,...j->...l", self.table, x, y, optimize=True)
+        d = self.dim
+        x = np.asarray(x)
+        xt = (x @ self.table.reshape(d, d * d)).reshape(x.shape[:-1] + (d, d))
+        return (np.asarray(y)[..., None, :] @ xt)[..., 0, :]
 
     def left_op(self, x) -> np.ndarray:
         """Matrix of y -> x y."""
-        return np.einsum("ijl,i->lj", self.table, x, optimize=True)
+        d = self.dim
+        return (np.asarray(x) @ self.table.reshape(d, d * d)).reshape(d, d).T
 
     def right_op(self, x) -> np.ndarray:
         """Matrix of y -> y x."""
-        return np.einsum("ijl,j->li", self.table, x, optimize=True)
+        return (np.asarray(x) @ self.table).T
 
     @cached_property
     def trace_vector(self) -> np.ndarray:
@@ -108,14 +112,10 @@ class AssocAlgebra:
 
 
 def assoc_of_embedding(e: StandardEmbedding, tol: float = DEFAULT_TOL) -> AssocAlgebra:
-    """Structure table and involution of a standard embedding."""
-    d = e.dim
-    eye = np.eye(d, dtype=np.complex128)
-    table = np.zeros((d, d, d), dtype=np.complex128)
-    for i in range(d):
-        table[i] = e.mul_coords(eye[i][None, :], eye, tol)
-    star = e.star_coords(eye)  # row i = coords of (e_i)*
-    alg = AssocAlgebra(table=table, star=star.T)
+    """Structure table (the embedding's cached one) and involution of a
+    standard embedding; ``tol`` is the associativity check's."""
+    star = e.star_coords(np.eye(e.dim, dtype=np.complex128))  # row i = coords of (e_i)*
+    alg = AssocAlgebra(table=e.table, star=star.T)
     alg.validate(max(tol, 1e-8))
     return alg
 
@@ -124,16 +124,11 @@ def matrix_algebra(n: int) -> AssocAlgebra:
     """Full matrix algebra M_n with basis E_11, E_12, ..., E_nn."""
     d = n * n
     table = np.zeros((d, d, d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[i * n + j, k * n + l, i * n + l] = 1.0
+    i, j, l = np.indices((n, n, n)).reshape(3, -1)
+    table[i * n + j, j * n + l, i * n + l] = 1.0        # E_ij E_jl = E_il
     star = np.zeros((d, d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            star[j * n + i, i * n + j] = 1.0
+    i, j = np.indices((n, n)).reshape(2, -1)
+    star[j * n + i, i * n + j] = 1.0
     return AssocAlgebra(table=table, star=star)
 
 
@@ -267,18 +262,22 @@ def _quotient_algebra(a: AssocAlgebra, ideal: np.ndarray,
 
 
 def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
-                    seed: int = 0) -> np.ndarray:
+                    seed: int = 0, embedding: StandardEmbedding = None,
+                    algebra: AssocAlgebra = None) -> np.ndarray:
     """Basis (columns, base coordinates) of the radical of a ternary ring.
 
     Computed as Rad A(M) ∩ M via the Peirce corner of the embedding;
     structure presentations route through the abstract envelope built
     from the structure constants.  Every returned element is audited by
-    sampled ternary homotope checks.
+    sampled ternary homotope checks.  A block space's embedding and its
+    algebra are built unless given.
     """
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if m.is_block:
-        alg, m_idx = _envelope_of_blocks(m, tol)
+        e = embedding if embedding is not None else build_embedding(m, tol)
+        alg = algebra if algebra is not None else assoc_of_embedding(e, tol)
+        m_idx = e.corner_indices["M"]
     else:
         alg, m_idx = structure_envelope(m, tol)
     rad = jacobson_radical(alg, tol, verify=False, seed=seed)
@@ -296,12 +295,6 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
                     raise DecompositionInconclusive(
                         "radical element failed a ternary homotope audit")
     return basis
-
-
-def _envelope_of_blocks(m: TernarySpace, tol: float):
-    e = build_embedding(m, tol)
-    alg = assoc_of_embedding(e, tol)
-    return alg, e.corner_indices["M"]
 
 
 def _corner_of(span: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ternlab import cli
+from ternlab import radical as rad
 from ternlab import ternary as tern
 
 
@@ -78,6 +79,20 @@ def test_radical_report(mixed_file):
     assert code == 0
     assert rep["details"] == {"radical_dim": 0, "semisimple": True,
                               "embedding_radical_dim": 0}
+
+
+def test_radical_builds_the_embedding_algebra_once(mixed_file, monkeypatch):
+    calls = []
+    original = rad.assoc_of_embedding
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rad, "assoc_of_embedding", counted)
+    code, rep = _run_json(["radical", mixed_file])
+    assert code == 0 and rep["details"]["embedding_radical_dim"] == 0
+    assert len(calls) == 1
 
 
 def test_embed_report(mixed_file):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ternlab import embedding as emb
 from ternlab import ternary as tern
-from ternlab.errors import NormUnavailable, NotAnIdeal
+from ternlab.errors import DecompositionInconclusive, NormUnavailable, NotAnIdeal
 
 EYE4 = np.eye(4, dtype=np.complex128)
 
@@ -189,6 +191,59 @@ def test_pi_homomorphism_and_injectivity(catalog):
             rhs = emb.pi_represent(e, a).matrix @ emb.pi_represent(e, b).matrix
             assert np.abs(lhs - rhs).max() <= 1e-9 * max(
                 1.0, np.abs(lhs).max(), np.abs(rhs).max())
+
+
+def test_table_matches_mul_coords(catalog):
+    for name, m in catalog:
+        e = emb.build_embedding(m)
+        eye = np.eye(e.dim, dtype=np.complex128)
+        assert e.table.shape == (e.dim,) * 3
+        for i in range(e.dim):
+            want = e.mul_coords(eye[i][None, :], eye)
+            assert np.abs(e.table[i] - want).max() <= 1e-12, (name, i)
+
+
+def _pi_slot_rows(e):
+    idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
+    rows = np.zeros((idx.size, e.dim), dtype=np.complex128)
+    rows[np.arange(idx.size), idx] = 1.0
+    return rows, idx
+
+
+def _pi_reference(e, a):
+    """pi(a) from direct products of a with the M ⊕ R slot basis."""
+    rows, idx = _pi_slot_rows(e)
+    return e.mul_coords(a[None, :], rows)[:, idx].T
+
+
+def _pi_kernel_gap_reference(e):
+    rows, idx = _pi_slot_rows(e)
+    cols = [e.mul_coords(unit[None, :], rows)[:, idx].ravel()
+            for unit in np.eye(e.dim, dtype=np.complex128)]
+    s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    return float(s[-1] / s[0])
+
+
+def test_pi_matches_slot_basis_reference(catalog):
+    rng = np.random.default_rng(15)
+    for name, m in catalog:
+        e = emb.build_embedding(m)
+        assert abs(emb.pi_kernel_gap(e) - _pi_kernel_gap_reference(e)) <= 1e-12, name
+        for _ in range(50):
+            a = e.random_element(rng).coords
+            want = _pi_reference(e, a)
+            got = emb.pi_represent(e, a).matrix
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+
+
+def test_identity_rejects_corrupted_unit(catalog):
+    for name, m in catalog[:10]:
+        e = emb.build_embedding(m)
+        b = e.blocks[0]
+        bad = dataclasses.replace(e, blocks=(dataclasses.replace(b, l_unit=0.5 * b.l_unit),)
+                                  + e.blocks[1:])
+        with pytest.raises(DecompositionInconclusive, match="unit residual"):
+            emb.identity_of(bad)
 
 
 def test_pi_bounds_zero_element(anti_embedding):

@@ -116,3 +116,25 @@ def test_subspace_helpers():
     assert ns.shape[1] == 4
     coords, resid = mk.project_columns(q, a)
     assert resid <= 1e-10
+
+
+def test_nullspace_matches_full_svd():
+    rng = np.random.default_rng(17)
+
+    def full_svd_nullspace(m, tol=1e-9):
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+        rank = int(np.sum(s > tol * s[0]))
+        return vh[rank:].conj().T
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = [cplx(40, 6), cplx(3, 7), cplx(6, 6),
+             cplx(30, 2) @ cplx(2, 5),          # tall, rank 2
+             cplx(4, 2) @ cplx(2, 9)]           # wide, rank 2
+    for m in cases:
+        got, want = mk.nullspace(m), full_svd_nullspace(m)
+        assert got.shape == want.shape
+        assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
+        assert mk.subspace_distance(got, want) <= 1e-10
+        assert np.abs(m @ got).max(initial=0.0) <= 1e-10 * np.abs(m).max()

@@ -265,3 +265,41 @@ def test_validate_detects_corruption():
     t[1, 3, 0] += 1e-3
     with pytest.raises(InvalidInput, match="not associative"):
         rad.AssocAlgebra(table=t).validate()
+
+
+def test_products_match_einsum(catalog):
+    rng = np.random.default_rng(16)
+    d = 5
+    table = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    algebras = [rad.AssocAlgebra(table=table), rad.matrix_algebra(3),
+                rad.assoc_of_embedding(emb.build_embedding(catalog[13][1]))]
+    for alg in algebras:
+        t, d = alg.table, alg.dim
+        x, y = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        assert np.allclose(alg.left_op(x), np.einsum("ijl,i->lj", t, x), atol=1e-12)
+        assert np.allclose(alg.right_op(x), np.einsum("ijl,j->li", t, x), atol=1e-12)
+        for xs, ys in (((d,), (d,)), ((4, d), (4, d)), ((4, d), (d,)),
+                       ((d,), (3, 4, d)), ((3, 1, d), (4, d))):
+            xv = rng.standard_normal(xs) + 1j * rng.standard_normal(xs)
+            yv = rng.standard_normal(ys) + 1j * rng.standard_normal(ys)
+            want = np.einsum("ijl,...i,...j->...l", t, xv, yv)
+            got = alg.mul(xv, yv)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, atol=1e-12)
+
+
+def test_matrix_algebra_matches_loop():
+    for n in range(1, 6):
+        d = n * n
+        table = np.zeros((d, d, d), dtype=np.complex128)
+        star = np.zeros((d, d), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                star[j * n + i, i * n + j] = 1.0
+                for k in range(n):
+                    for l in range(n):
+                        if j == k:
+                            table[i * n + j, k * n + l, i * n + l] = 1.0
+        alg = rad.matrix_algebra(n)
+        assert np.array_equal(alg.table, table)
+        assert np.array_equal(alg.star, star)
