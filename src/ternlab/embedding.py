@@ -35,7 +35,7 @@ from .errors import (
     NotAnIdeal,
     ShapeError,
 )
-from .ternary import TernarySpace, _triple_coords, as_coords
+from .ternary import TernarySpace, _ideal_products, as_coords
 
 DEFAULT_TOL = 1e-9
 
@@ -366,22 +366,27 @@ class PiOperator:
         return self.matrix @ np.asarray(coords, dtype=np.complex128)
 
 
-def pi_represent(e: StandardEmbedding, a) -> PiOperator:
-    """Left action of ``a`` on the M ⊕ R column, as a matrix."""
-    ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
-    d = e.dim
+def _pi_table(e: StandardEmbedding) -> np.ndarray:
+    """(d, n, n) with [i, j, k] the coordinate k of e_i e_j, for j, k over M ⊕ R."""
     idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
-    # row j of the product matrix holds the coordinates of a e_j
-    mat = (ca @ e.table.reshape(d, d * d)).reshape(d, d)[np.ix_(idx, idx)].T
+    return e.table[:, idx][:, :, idx]
+
+
+def pi_represent(e: StandardEmbedding, a) -> PiOperator:
+    """Left action of ``a`` on the M ⊕ R column, as a matrix; coordinates
+    with leading batch axes give a matching batch of matrices."""
+    ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
+    t = _pi_table(e)
+    n = t.shape[1]
+    mat = (ca @ t.reshape(e.dim, n * n)).reshape(ca.shape[:-1] + (n, n)).swapaxes(-1, -2)
     return PiOperator(matrix=mat, dim_m=e.corner_indices["M"].size,
                       dim_r=e.corner_indices["R"].size)
 
 
 def pi_kernel_gap(e: StandardEmbedding) -> float:
     """Smallest over largest singular value of the map a -> pi(a)."""
-    idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
     # column i: the entries of pi(e_i)
-    stacked = e.table[:, idx][:, :, idx].reshape(e.dim, -1).T
+    stacked = _pi_table(e).reshape(e.dim, -1).T
     s = np.linalg.svd(stacked, compute_uv=False)
     return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 
@@ -530,20 +535,10 @@ class PeirceCorners:
 
 def _assoc_ideal_residual(e: StandardEmbedding, span: np.ndarray) -> float:
     """Worst residual of basis products e_i s_j, s_j e_i against span."""
-    if span.shape[1] == 0:
-        return 0.0
     eye = np.eye(e.dim, dtype=np.complex128)
-    worst = 0.0
-    for j in range(span.shape[1]):
-        s = span[:, j]
-        left = e.mul_coords(eye, np.broadcast_to(s, (e.dim, e.dim)))
-        right = e.mul_coords(np.broadcast_to(s, (e.dim, e.dim)), eye)
-        for prods in (left, right):
-            coords = prods @ span.conj()
-            resid = np.abs(prods - coords @ span.T).max(initial=0.0)
-            scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
-            worst = max(worst, float(resid) / scale)
-    return worst
+    return max((mk.span_residual(np.concatenate([e.mul_coords(eye, s[:, None]),
+                                                 e.mul_coords(s[:, None], eye)]), span)
+                for s in mk.span_chunks(span, 2 * e.dim)), default=0.0)
 
 
 def _slice_intersection(span: np.ndarray, keep: np.ndarray, tol=DEFAULT_TOL):
@@ -582,26 +577,9 @@ def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners
 
 def _ternary_ideal_residual(m: TernarySpace, span: np.ndarray) -> float:
     """Worst projection residual of [MMS], [SMM], [MSM] against span(S)."""
-    if span.shape[1] == 0:
-        return 0.0
-    d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
     q = mk.colspace(span)
-    worst = 0.0
-    for j in range(q.shape[1]):
-        s = np.broadcast_to(q[:, j], (d, d, d))
-        x = np.broadcast_to(eye[:, None, :], (d, d, d))
-        y = np.broadcast_to(eye[None, :, :], (d, d, d))
-        for prods in (
-            _triple_coords(m, x.reshape(-1, d), y.reshape(-1, d), s.reshape(-1, d)),
-            _triple_coords(m, s.reshape(-1, d), x.reshape(-1, d), y.reshape(-1, d)),
-            _triple_coords(m, x.reshape(-1, d), s.reshape(-1, d), y.reshape(-1, d)),
-        ):
-            coords = prods @ q.conj()
-            resid = np.abs(prods - coords @ q.T).max(initial=0.0)
-            scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
-            worst = max(worst, float(resid) / scale)
-    return worst
+    return max((mk.span_residual(_ideal_products(m, s), q)
+                for s in mk.span_chunks(q, 3 * m.dim ** 2)), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk
-from .embedding import StandardEmbedding, _assoc_ideal_residual, peirce_split
+from .embedding import (
+    StandardEmbedding,
+    _assoc_ideal_residual,
+    _ternary_ideal_residual,
+    peirce_split,
+)
 from .errors import NotAnIdeal
 from .ternary import (
     StructureConstants,
     TernarySpace,
+    _ideal_products,
     _triple_coords,
     as_coords,
     zettl_decompose,
@@ -51,28 +57,6 @@ class TernaryIdeal:
         return resid <= tol * max(1.0, float(np.linalg.norm(v)))
 
 
-def _containment_residual(m: TernarySpace, span: np.ndarray,
-                          pattern: str) -> float:
-    """Worst projection residual of the given product pattern vs span."""
-    if span.shape[1] == 0:
-        return 0.0
-    d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
-    q = span
-    worst = 0.0
-    for j in range(q.shape[1]):
-        s = np.broadcast_to(q[:, j], (d, d, d)).reshape(-1, d)
-        x = np.broadcast_to(eye[:, None, :], (d, d, d)).reshape(-1, d)
-        y = np.broadcast_to(eye[None, :, :], (d, d, d)).reshape(-1, d)
-        args = {"MMI": (x, y, s), "IMM": (s, x, y), "MIM": (x, s, y)}[pattern]
-        prods = _triple_coords(m, *args)
-        coords = prods @ q.conj()
-        resid = float(np.abs(prods - coords @ q.T).max(initial=0.0))
-        scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
-        worst = max(worst, resid / scale)
-    return worst
-
-
 def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
     """All three containments [MMI], [IMM], [MIM] hold within tolerance.
 
@@ -80,36 +64,28 @@ def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
     automatic in an exact C*-ternary ring; numerically non-closed
     inputs should not get a free pass.
     """
-    q = mk.colspace(np.asarray(span, dtype=np.complex128))
-    if q.shape[1] == 0:
-        return True
-    return all(_containment_residual(m, q, p) <= tol
-               for p in ("MMI", "IMM", "MIM"))
+    return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= tol
 
 
-def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9,
-                    max_rounds: int = 64) -> TernaryIdeal:
-    """Smallest ideal containing the generators (fixed point of products)."""
-    cols = [as_coords(m, g) for g in np.atleast_2d(np.asarray(gens, dtype=np.complex128))] \
-        if not isinstance(gens, (list, tuple)) else [as_coords(m, g) for g in gens]
+def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
+    """Smallest ideal containing the generators (fixed point of products).
+
+    Each round adds the basis products of the span, so the span grows
+    or the loop stops, within ``m.dim`` rounds.
+    """
+    gens = gens if isinstance(gens, (list, tuple)) else np.atleast_2d(gens)
+    cols = [as_coords(m, g) for g in gens]
     span = mk.colspace(np.stack(cols, axis=1) if cols else
                        np.zeros((m.dim, 0), dtype=np.complex128), tol)
     d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
-    for _ in range(max_rounds):
-        if span.shape[1] in (0, d):
+    while 0 < span.shape[1] < d:
+        grown = span
+        for s in mk.span_chunks(span, 3 * d * d):
+            prods = _ideal_products(m, s).reshape(-1, d)
+            grown = mk.colspace(np.hstack([grown, prods.T]), tol)
+        if grown.shape[1] == span.shape[1]:
             break
-        new_vecs = [span]
-        for j in range(span.shape[1]):
-            s = np.broadcast_to(span[:, j], (d, d, d)).reshape(-1, d)
-            x = np.broadcast_to(eye[:, None, :], (d, d, d)).reshape(-1, d)
-            y = np.broadcast_to(eye[None, :, :], (d, d, d)).reshape(-1, d)
-            for args in ((x, y, s), (s, x, y), (x, s, y)):
-                new_vecs.append(_triple_coords(m, *args).T)
-        new_span = mk.colspace(np.hstack(new_vecs), tol)
-        if new_span.shape[1] == span.shape[1]:
-            break
-        span = new_span
+        span = grown
     return TernaryIdeal(parent=m, basis=span)
 
 

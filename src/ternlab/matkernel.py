@@ -171,3 +171,26 @@ def project_columns(basis: np.ndarray, v: np.ndarray):
     coords, *_ = np.linalg.lstsq(basis, v, rcond=None)
     resid = np.linalg.norm(basis @ coords - v, axis=0)
     return coords, float(np.max(resid)) if np.ndim(resid) else float(resid)
+
+
+#: Product rows formed per call when the products of a basis with a span are
+#: checked or collected; bounds the temporaries of desk-scale spans.
+SPAN_CHUNK_ROWS = 4096
+
+
+def span_chunks(span: np.ndarray, rows_per_column: int):
+    """The span's columns as rows, in blocks of about SPAN_CHUNK_ROWS products."""
+    step = max(1, SPAN_CHUNK_ROWS // max(rows_per_column, 1))
+    for j in range(0, span.shape[1], step):
+        yield span[:, j:j + step].T
+
+
+def span_residual(prods: np.ndarray, q: np.ndarray) -> float:
+    """Worst residual of product groups (group, n, d) against span(q).
+
+    ``q`` holds orthonormal columns.  Each group's max-abs projection
+    residual is relative to max(1, that group's largest entry).
+    """
+    resid = np.abs(prods - (prods @ q.conj()) @ q.T).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(prods).max(axis=(1, 2)))
+    return float((resid / scale).max())

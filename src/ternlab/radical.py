@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel as mk
-from .embedding import StandardEmbedding, build_embedding
+from .embedding import StandardEmbedding, _slice_intersection, build_embedding
 from .errors import (
     BorderlineWarning,
     DecompositionInconclusive,
@@ -234,17 +234,13 @@ def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL,
 
 
 def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
-    d = a.dim
-    eye = np.eye(d, dtype=np.complex128)
-    for j in range(span.shape[1]):
-        s = np.broadcast_to(span[:, j], (d, d))
-        for prods in (a.mul(eye, s), a.mul(s, eye)):
-            coords = prods @ span.conj()
-            resid = float(np.abs(prods - coords @ span.T).max(initial=0.0))
-            scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
-            if resid > tol * scale:
-                raise DecompositionInconclusive(
-                    f"computed radical is not an ideal (residual {resid / scale:.2e})")
+    eye = np.eye(a.dim, dtype=np.complex128)
+    for s in mk.span_chunks(span, 2 * a.dim):
+        resid = mk.span_residual(np.concatenate([a.mul(eye, s[:, None]),
+                                                 a.mul(s[:, None], eye)]), span)
+        if resid > tol:
+            raise DecompositionInconclusive(
+                f"computed radical is not an ideal (residual {resid:.2e})")
 
 
 def _quotient_algebra(a: AssocAlgebra, ideal: np.ndarray,
@@ -281,7 +277,7 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
     else:
         alg, m_idx = structure_envelope(m, tol)
     rad = jacobson_radical(alg, tol, verify=False, seed=seed)
-    corner = _corner_of(rad, m_idx, alg.dim)
+    corner = _slice_intersection(rad, m_idx)[m_idx]
     if corner.shape[1] == 0:
         return np.zeros((m.dim, 0), dtype=np.complex128)
     basis = mk.colspace(corner)
@@ -295,17 +291,6 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
                     raise DecompositionInconclusive(
                         "radical element failed a ternary homotope audit")
     return basis
-
-
-def _corner_of(span: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
-    """Intersection of a span with a coordinate slice, in slice coordinates."""
-    if span.shape[1] == 0:
-        return np.zeros((idx.size, 0), dtype=np.complex128)
-    mask = np.ones(dim, dtype=bool)
-    mask[idx] = False
-    ns = mk.nullspace(span[mask, :])
-    inter = mk.colspace(span @ ns)
-    return inter[idx, :]
 
 
 # ---------------------------------------------------------------------------

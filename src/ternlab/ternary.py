@@ -332,6 +332,17 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
     return out.reshape(xs.shape)
 
 
+def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
+    """[e_i e_k s], [s e_i e_k] and [e_i s e_k] for each row s of ``s``,
+    grouped by pattern and row as (3 * len(s), d * d, d)."""
+    d = m.dim
+    eye = np.eye(d, dtype=np.complex128)
+    x, y, s = eye[:, None], eye[None], s[:, None, None]
+    prods = np.stack([_triple_coords(m, x, y, s), _triple_coords(m, s, x, y),
+                      _triple_coords(m, x, s, y)])
+    return prods.reshape(-1, d * d, d)
+
+
 def triple(m: TernarySpace, x, y, z, tol: float = DEFAULT_TOL) -> TernaryElement:
     """Triple product [xyz]; conjugate-linear in the middle argument."""
     xs, ys, zs = as_coords(m, x), as_coords(m, y), as_coords(m, z)

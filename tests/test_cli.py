@@ -203,3 +203,9 @@ def test_seed_env_fallback(mixed_file, monkeypatch):
     monkeypatch.setenv("TERNLAB_SEED", "11")
     code, rep = _run_json(["decompose", mixed_file])
     assert rep["seed"] == 11
+
+
+def test_parsed_values_do_not_leak_between_runs(mixed_file, monkeypatch):
+    monkeypatch.delenv("TERNLAB_SEED", raising=False)
+    assert _run_json(["decompose", mixed_file, "--seed", "5"])[1]["seed"] == 5
+    assert _run_json(["decompose", mixed_file])[1]["seed"] == 0

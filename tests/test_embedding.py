@@ -234,6 +234,11 @@ def test_pi_matches_slot_basis_reference(catalog):
             want = _pi_reference(e, a)
             got = emb.pi_represent(e, a).matrix
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+        # coordinates with leading batch axes
+        batch = np.stack([[e.random_element(rng).coords for _ in range(3)] for _ in range(2)])
+        want = np.stack([[_pi_reference(e, a) for a in row] for row in batch])
+        got = emb.pi_represent(e, batch).matrix
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
 
 
 def test_identity_rejects_corrupted_unit(catalog):
