@@ -17,7 +17,6 @@ from .errors import (
     NotHermitian,
     PreconditionFailed,
     ShapeError,
-    SolverBudgetExceeded,
     TernlabError,
 )
 from .matkernel import CMatrix, HermEigResult, herm_eig, hs_inner, op_norm, solve_linear

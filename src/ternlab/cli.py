@@ -32,7 +32,6 @@ from . import wedderburn as wed
 from .errors import (
     DecompositionInconclusive,
     NotAnIdeal,
-    SolverBudgetExceeded,
     TernlabError,
 )
 
@@ -406,7 +405,7 @@ def main(argv=None, out=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (DecompositionInconclusive, SolverBudgetExceeded, NotAnIdeal) as exc:
+    except (DecompositionInconclusive, NotAnIdeal) as exc:
         # the instance parsed, a checked property failed at runtime
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE

@@ -10,11 +10,16 @@ with the ordinary matrix product on +1 blocks and the sign-twisted
 product on -1 blocks:
 
     [a z; w* b] . [a' z'; w'* b'] =
-        [-aa' + zw'*,  -az' - zb';  -w*a' - bw'*,  w*z' - bb'].
+        [-aa' + zw'*,  -az' - zb';  -w*a' - bw'*,  w*z' - bb'],
+
+that is, the ordinary product conjugated by the sign pattern
+S = [[-1, -1], [+1, -1]]: S∘((S∘A) @ (S∘B)).
 
 The involution is the honest adjoint of the block matrix in both cases.
 Coordinates per block are laid out as [L | M | Mbar | R], where the
-Mbar slot parametrizes the lower-left corner over the basis {m_i*}.
+Mbar slot parametrizes the lower-left corner over the basis {m_i*};
+``BlockEmbedding.materialize`` and ``BlockEmbedding.split`` are the one
+map between that layout and block matrices.
 
 The canonical norm is the block operator norm of this concrete
 realization; whether it agrees isometrically with other norms on the
@@ -55,7 +60,12 @@ def _support_projection(mats, dim_space, tol=1e-10):
 
 @dataclass(frozen=True)
 class BlockEmbedding:
-    """Corner data of the embedding of one signed block."""
+    """Corner data of the embedding of one signed block.
+
+    ``slots``, ``materialize`` and ``split`` are the only code that knows
+    a block's coordinate layout [L | M | Mbar | R]; everything else works
+    on whole (r+c)x(r+c) block matrices or on corner indices.
+    """
 
     sign: int
     rows: int
@@ -76,32 +86,40 @@ class BlockEmbedding:
         return sum(self.dims)
 
     @cached_property
-    def _m_pinv(self):
-        return np.linalg.pinv(self.m_stack.reshape(self.m_stack.shape[0], -1).T)
+    def _projectors(self):
+        """(pinv, flat basis) of each corner; the L and R bases are
+        orthonormal, so their pinvs are their conjugates."""
+        l, m, r = (s.reshape(s.shape[0], -1) for s in (self.l_stack, self.m_stack, self.r_stack))
+        m_pinv = np.linalg.pinv(m.T)
+        return (l.conj(), l), (m_pinv, m), (m_pinv, m), (r.conj(), r)
 
     @cached_property
-    def _l_pinv(self):
-        return np.linalg.pinv(self.l_stack.reshape(self.l_stack.shape[0], -1).T)
+    def unit(self):
+        """The block matrix diag(P, Q) of the support projections."""
+        r = self.rows
+        u = np.zeros((r + self.cols,) * 2, dtype=np.complex128)
+        u[:r, :r], u[r:, r:] = self.l_unit, self.r_unit
+        return u
 
     @cached_property
-    def _r_pinv(self):
-        return np.linalg.pinv(self.r_stack.reshape(self.r_stack.shape[0], -1).T)
+    def _twist(self):
+        # sign pattern S = [[-1, -1], [+1, -1]] of the twisted product
+        s = -np.ones((self.rows + self.cols,) * 2)
+        s[self.rows:, :self.rows] = 1.0
+        return s
 
-    def _proj(self, pinv, stack, mats):
-        flat = np.asarray(mats).reshape(-1, stack.shape[1] * stack.shape[2])
-        coords = flat @ pinv.T
-        recon = coords @ stack.reshape(stack.shape[0], -1)
-        resid = float(np.linalg.norm(recon - flat, axis=1).max(initial=0.0))
-        return coords.reshape(np.shape(mats)[:-2] + (stack.shape[0],)), resid
+    def slots(self, coords):
+        """The [L | M | Mbar | R] slots of this block's coordinates (..., dim)."""
+        return np.split(np.asarray(coords), np.cumsum(self.dims)[:-1], axis=-1)
 
-    def materialize(self, la, ma, wa, ra):
-        """Big block matrices from per-corner coordinate arrays.
+    def materialize(self, coords):
+        """Big block matrices from this block's coordinates (..., dim).
 
-        ``wa`` holds the lower-left corner coordinates over {m_i*}.
+        The Mbar slot holds the lower-left corner over {m_i*}.
         """
         r, c = self.rows, self.cols
-        lead = np.shape(la)[:-1]
-        out = np.zeros(lead + (r + c, r + c), dtype=np.complex128)
+        la, ma, wa, ra = self.slots(coords)
+        out = np.zeros(la.shape[:-1] + (r + c, r + c), dtype=np.complex128)
         out[..., :r, :r] = np.tensordot(la, self.l_stack, axes=([-1], [0]))
         out[..., :r, r:] = np.tensordot(ma, self.m_stack, axes=([-1], [0]))
         star = np.swapaxes(self.m_stack, -1, -2).conj()
@@ -109,40 +127,31 @@ class BlockEmbedding:
         out[..., r:, r:] = np.tensordot(ra, self.r_stack, axes=([-1], [0]))
         return out
 
-    def split(self, big, tol=DEFAULT_TOL):
-        """Per-corner coordinates of big block matrices, residual-checked."""
+    def split(self, big):
+        """This block's coordinates (..., dim) of big block matrices, and the
+        largest distance of a corner from its corner span."""
         r = self.rows
-        la, res_l = self._proj(self._l_pinv, self.l_stack, big[..., :r, :r])
-        ma, res_m = self._proj(self._m_pinv, self.m_stack, big[..., :r, r:])
         # lower-left corner: X = sum_i s_i m_i*  <=>  X* = sum_i conj(s_i) m_i
-        ll = np.swapaxes(big[..., r:, :r], -1, -2).conj()
-        ta, res_w = self._proj(self._m_pinv, self.m_stack, ll)
-        wa = ta.conj()
-        ra, res_r = self._proj(self._r_pinv, self.r_stack, big[..., r:, r:])
-        resid = max(res_l, res_m, res_w, res_r)
-        scale = max(1.0, float(np.abs(big).max(initial=0.0)))
-        if resid > tol * scale:
-            raise InvalidInput(f"block matrix leaves the embedding span "
-                               f"(residual {resid / scale:.2e})")
-        return la, ma, wa, ra
-
-    @staticmethod
-    def _diag_part(a, r):
-        out = np.zeros_like(a)
-        out[..., :r, :r] = a[..., :r, :r]
-        out[..., r:, r:] = a[..., r:, r:]
-        return out
+        corners = (big[..., :r, :r], big[..., :r, r:],
+                   np.swapaxes(big[..., r:, :r], -1, -2).conj(), big[..., r:, r:])
+        out, resid = [], 0.0
+        for mats, (pinv, basis) in zip(corners, self._projectors):
+            flat = mats.reshape(mats.shape[:-2] + (basis.shape[1],))
+            coords = flat @ pinv.T
+            resid = max(resid, float(np.linalg.norm(coords @ basis - flat, axis=-1)
+                                     .max(initial=0.0)))
+            out.append(coords)
+        out[2] = out[2].conj()
+        return np.concatenate(out, axis=-1), resid
 
     def mul_big(self, a, b):
-        """Product of materialized block matrices under this block's rule."""
+        """Product of materialized block matrices under this block's rule;
+        the twisted one is the ordinary product conjugated by the sign
+        pattern S: S∘((S∘a) @ (S∘b))."""
         if self.sign > 0:
             return a @ b
-        # twisted rule: +1 on offdiag*offdiag contributions, -1 elsewhere
-        a_even = self._diag_part(a, self.rows)
-        b_even = self._diag_part(b, self.rows)
-        a_odd = a - a_even
-        b_odd = b - b_even
-        return a_odd @ (b_odd - b_even) - a_even @ (b_odd + b_even)
+        s = self._twist
+        return s * ((s * a) @ (s * b))
 
 
 @dataclass(frozen=True)
@@ -181,16 +190,10 @@ class StandardEmbedding:
     @cached_property
     def corner_indices(self) -> dict:
         """Coordinate indices of the four Peirce corners."""
-        out = {name: [] for name in CORNERS}
-        start = 0
-        for b in self.blocks:
-            dl, dm, dw, dr = b.dims
-            out["L"].extend(range(start, start + dl))
-            out["M"].extend(range(start + dl, start + dl + dm))
-            out["Mbar"].extend(range(start + dl + dm, start + dl + dm + dw))
-            out["R"].extend(range(start + dl + dm + dw, start + dl + dm + dw + dr))
-            start += b.dim
-        return {k: np.asarray(v, dtype=int) for k, v in out.items()}
+        slots = [b.slots(np.arange(s.start, s.stop))
+                 for b, s in zip(self.blocks, self.block_slices)]
+        return {name: np.concatenate([np.zeros(0, dtype=int)] + [sl[k] for sl in slots])
+                for k, name in enumerate(CORNERS)}
 
     # -- elements ----------------------------------------------------------
 
@@ -223,22 +226,23 @@ class StandardEmbedding:
         """Place the bar of a base element in the lower-left corner."""
         return self.from_corners(wa=as_coords(self.base, u).conj())
 
-    def _split_coords(self, coords):
-        coords = np.asarray(coords, dtype=np.complex128)
-        per_block = []
-        for b, s in zip(self.blocks, self.block_slices):
-            chunk = coords[..., s]
-            dl, dm, dw, dr = b.dims
-            per_block.append((chunk[..., :dl], chunk[..., dl:dl + dm],
-                              chunk[..., dl + dm:dl + dm + dw],
-                              chunk[..., dl + dm + dw:]))
-        return per_block
-
     def materialize(self, x) -> list:
         """Per-block big matrices of an element (or coordinate batch)."""
         coords = x.coords if isinstance(x, EmbeddingElement) else np.asarray(x)
-        return [b.materialize(*chunk)
-                for b, chunk in zip(self.blocks, self._split_coords(coords))]
+        return [b.materialize(coords[..., s]) for b, s in zip(self.blocks, self.block_slices)]
+
+    def _split(self, mats, tol):
+        """Coordinates of per-block big matrices; InvalidInput when one
+        leaves its block's span."""
+        out = []
+        for b, big in zip(self.blocks, mats):
+            coords, resid = b.split(big)
+            scale = max(1.0, float(np.abs(big).max(initial=0.0)))
+            if resid > tol * scale:
+                raise InvalidInput(f"block matrix leaves the embedding span "
+                                   f"(residual {resid / scale:.2e})")
+            out.append(coords)
+        return out
 
     def norm(self, x) -> float:
         """Block operator norm of the concrete realization."""
@@ -249,16 +253,12 @@ class StandardEmbedding:
 
     def mul_coords(self, xa, xb, tol=DEFAULT_TOL):
         """Batched product on coordinate arrays (..., dim)."""
-        out = []
-        for b, ca, cb in zip(self.blocks,
-                             self._split_coords(xa), self._split_coords(xb)):
-            big = b.mul_big(b.materialize(*ca), b.materialize(*cb))
-            out.append(np.concatenate(b.split(big, tol), axis=-1))
-        lead = np.broadcast_shapes(np.shape(xa)[:-1], np.shape(xb)[:-1])
+        out = self._split([b.mul_big(x, y) for b, x, y in
+                           zip(self.blocks, self.materialize(xa), self.materialize(xb))], tol)
         if not out:
+            lead = np.broadcast_shapes(np.shape(xa)[:-1], np.shape(xb)[:-1])
             return np.zeros(lead + (0,), dtype=np.complex128)
-        return np.concatenate([np.broadcast_to(o, lead + o.shape[-1:]) for o in out],
-                              axis=-1)
+        return np.concatenate(out, axis=-1)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -275,10 +275,8 @@ class StandardEmbedding:
 
     def star_coords(self, coords):
         """Involution on coordinates: the adjoint of the block matrix."""
-        mats = self.materialize(coords)
-        out = []
-        for b, m in zip(self.blocks, mats):
-            out.append(np.concatenate(b.split(np.swapaxes(m, -1, -2).conj()), axis=-1))
+        out = self._split([np.swapaxes(m, -1, -2).conj() for m in self.materialize(coords)],
+                          DEFAULT_TOL)
         if not out:
             return np.zeros_like(np.asarray(coords))
         return np.concatenate(out, axis=-1)
@@ -304,9 +302,8 @@ def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedd
                             m_stack=stack, l_stack=l_stack, r_stack=r_stack,
                             l_unit=p, r_unit=q)
         # support projections must lie in their corner spans
-        _, res_p = be._proj(be._l_pinv, be.l_stack, p[None])
-        _, res_q = be._proj(be._r_pinv, be.r_stack, q[None])
-        if max(res_p, res_q) > 1e-8 * max(1.0, mk.op_norm(p), mk.op_norm(q)):
+        _, resid = be.split(be.unit)
+        if resid > 1e-8 * max(1.0, mk.op_norm(p), mk.op_norm(q)):
             raise DecompositionInconclusive("support projection escapes the corner span")
         blocks.append(be)
     return StandardEmbedding(base=m, blocks=tuple(blocks))
@@ -329,15 +326,7 @@ def emb_star(e: StandardEmbedding, a) -> EmbeddingElement:
 
 def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> EmbeddingElement:
     """The exact unit: diagonal support projections, negated on -1 blocks."""
-    chunks = []
-    for b in e.blocks:
-        la, _ = b._proj(b._l_pinv, b.l_stack, (b.sign * b.l_unit)[None])
-        ra, _ = b._proj(b._r_pinv, b.r_stack, (b.sign * b.r_unit)[None])
-        dl, dm, dw, dr = b.dims
-        chunk = np.zeros(b.dim, dtype=np.complex128)
-        chunk[:dl] = la[0]
-        chunk[dl + dm + dw:] = ra[0]
-        chunks.append(chunk)
+    chunks = [b.split(b.sign * b.unit)[0] for b in e.blocks]
     unit = EmbeddingElement(np.concatenate(chunks) if chunks
                             else np.zeros(0, dtype=np.complex128))
     eye = np.eye(e.dim, dtype=np.complex128)
@@ -391,23 +380,12 @@ def pi_kernel_gap(e: StandardEmbedding) -> float:
     return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 
 
-def _pi_vector_norm(e: StandardEmbedding, mcoords, rcoords) -> float:
+def _pi_vector_norm(e: StandardEmbedding, v) -> float:
     """Norm ((||f'||^2 + ||B'||^2))^(1/2) of a vector in M ⊕ R."""
-    nm = e.base.norm(mcoords)
-    nr = 0.0
-    for b, sl in zip(e.blocks, _r_slices(e)):
-        beta = np.tensordot(rcoords[sl], b.r_stack, axes=([0], [0]))
-        nr = max(nr, mk.op_norm(beta))
-    return float(np.hypot(nm, nr))
-
-
-def _r_slices(e: StandardEmbedding):
-    out, start = [], 0
-    for b in e.blocks:
-        dr = b.dims[3]
-        out.append(slice(start, start + dr))
-        start += dr
-    return out
+    dim_m = e.corner_indices["M"].size
+    r = np.zeros(e.dim, dtype=np.complex128)
+    r[e.corner_indices["R"]] = v[dim_m:]
+    return float(np.hypot(e.base.norm(v[:dim_m]), e.norm(r)))
 
 
 @dataclass(frozen=True)
@@ -442,39 +420,38 @@ def pi_norm_lower_bounds(e: StandardEmbedding, a, seed: int = 0,
     certified; the exact Banach norm is never computed.
     """
     ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
-    per_block = e._split_coords(ca)
-    dim_m, dim_r = e.corner_indices["M"].size, e.corner_indices["R"].size
+    idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
     rng = np.random.default_rng(seed)
     pi_a = pi_represent(e, ca)
+
+    def witness(s, b, big):
+        """A block matrix of block b as a vector of M ⊕ R, and its residual."""
+        v = np.zeros(e.dim, dtype=np.complex128)
+        v[s], resid = b.split(big)
+        return v[idx], resid
 
     norm_a = norm_b = norm_f = norm_g = 0.0
     witnesses = []
 
-    m_off = 0
-    r_slices = _r_slices(e)
-    for bi, (b, (la, ma, wa, ra)) in enumerate(zip(e.blocks, per_block)):
-        alpha = np.tensordot(la, b.l_stack, axes=([0], [0]))
-        beta = np.tensordot(ra, b.r_stack, axes=([0], [0]))
-        fmat = np.tensordot(ma, b.m_stack, axes=([0], [0]))
-        gmat = np.tensordot(wa.conj(), b.m_stack, axes=([0], [0]))
+    for s, b, big in zip(e.block_slices, e.blocks, e.materialize(ca)):
+        r = b.rows
+        alpha, fmat, beta = big[:r, :r], big[:r, r:], big[r:, r:]
+        gmat = big[r:, :r].conj().T
         norm_a = max(norm_a, mk.op_norm(alpha))
         norm_b = max(norm_b, mk.op_norm(beta))
         norm_f = max(norm_f, mk.op_norm(fmat))
         norm_g = max(norm_g, mk.op_norm(gmat))
 
-        dm = b.dims[1]
         # witness B' = unit of R on this block: certifies ||f|| and ||B||
-        qa, _ = b._proj(b._r_pinv, b.r_stack, b.r_unit[None])
-        wit = np.zeros(dim_m + dim_r, dtype=np.complex128)
-        wit[dim_m + np.arange(r_slices[bi].start, r_slices[bi].stop)] = qa[0]
-        witnesses.append(wit)
+        wit = np.zeros_like(big)
+        wit[r:, r:] = b.r_unit
+        witnesses.append(witness(s, b, wit)[0])
 
         # witness f' = g / ||g||: certifies ||g|| via r(g, f') = g* f'
         if mk.op_norm(gmat) > 0:
-            gc = wa.conj() / mk.op_norm(gmat)
-            wit = np.zeros(dim_m + dim_r, dtype=np.complex128)
-            wit[m_off:m_off + dm] = gc
-            witnesses.append(wit)
+            wit = np.zeros_like(big)
+            wit[:r, r:] = gmat / mk.op_norm(gmat)
+            witnesses.append(witness(s, b, wit)[0])
 
         # witness for ||A||: image of the top eigenspace of alpha* alpha
         if mk.op_norm(alpha) > 0:
@@ -489,24 +466,21 @@ def pi_norm_lower_bounds(e: StandardEmbedding, a, seed: int = 0,
                 if nn > best_norm:
                     best, best_norm = cand, nn
             if best is not None and best_norm > 0:
-                coords, resid = b._proj(b._m_pinv, b.m_stack, (best / best_norm)[None])
+                wit = np.zeros_like(big)
+                wit[:r, r:] = best / best_norm
+                wit, resid = witness(s, b, wit)
                 if resid <= 1e-8 * max(1.0, 1.0 / best_norm):
-                    wit = np.zeros(dim_m + dim_r, dtype=np.complex128)
-                    wit[m_off:m_off + dm] = coords[0]
                     witnesses.append(wit)
-        m_off += dm
 
     for _ in range(n_random):
-        v = rng.standard_normal(dim_m + dim_r) + 1j * rng.standard_normal(dim_m + dim_r)
-        witnesses.append(v)
+        witnesses.append(rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size))
 
     est = 0.0
     for wit in witnesses:
-        denom = _pi_vector_norm(e, wit[:dim_m], wit[dim_m:])
+        denom = _pi_vector_norm(e, wit)
         if denom <= 0:
             continue
-        out = pi_a.apply(wit)
-        est = max(est, _pi_vector_norm(e, out[:dim_m], out[dim_m:]) / denom)
+        est = max(est, _pi_vector_norm(e, pi_a.apply(wit)) / denom)
 
     target = max(norm_a, norm_b, norm_f, norm_g)
     margin = est - target
@@ -534,11 +508,16 @@ class PeirceCorners:
 
 
 def _assoc_ideal_residual(e: StandardEmbedding, span: np.ndarray) -> float:
-    """Worst residual of basis products e_i s_j, s_j e_i against span."""
+    """Worst residual of basis products e_i s_j, s_j e_i against span.
+
+    One product pattern at a time, about SPAN_CHUNK_ROWS / 4 rows a batch:
+    ``mul_coords`` keeps several arrays of a batch's size alive, and this
+    check sets the peak memory of an ideal's embedding.
+    """
     eye = np.eye(e.dim, dtype=np.complex128)
-    return max((mk.span_residual(np.concatenate([e.mul_coords(eye, s[:, None]),
-                                                 e.mul_coords(s[:, None], eye)]), span)
-                for s in mk.span_chunks(span, 2 * e.dim)), default=0.0)
+    return max((mk.span_residual(prods, span) for s in mk.span_chunks(span, 4 * e.dim)
+                for prods in (e.mul_coords(eye, s[:, None]), e.mul_coords(s[:, None], eye))),
+               default=0.0)
 
 
 def _slice_intersection(span: np.ndarray, keep: np.ndarray, tol=DEFAULT_TOL):
@@ -598,26 +577,22 @@ def cstar_identity_witness(e: StandardEmbedding):
     Returns ``(a, gap)`` or None when the embedding has no -1 block, in
     which case the C*-identity holds in the block operator norm.
     """
-    anti = [i for i, b in enumerate(e.blocks) if b.sign < 0]
+    anti = [(sl, b) for sl, b in zip(e.block_slices, e.blocks) if b.sign < 0]
     if not anti:
         return None
-    bi = anti[0]
-    b = e.blocks[bi]
+    sl, b = anti[0]
     u, s, vh = np.linalg.svd(b.m_stack[0])
     rank = int(np.sum(s > 1e-10 * max(s.max(initial=0.0), 1e-300)))
     x = u[:, :rank] @ vh[:rank, :]
-    xcoords, res_x = b._proj(b._m_pinv, b.m_stack, x[None])
-    acoords, res_a = b._proj(b._l_pinv, b.l_stack, (x @ x.conj().T)[None])
-    if max(res_x, res_a) > 1e-8:
-        raise DecompositionInconclusive(
-            f"partial isometry escapes its corner span "
-            f"(residuals {res_x:.2e}, {res_a:.2e})")
-    dl, dm = b.dims[:2]
+    r = b.rows
+    big = np.zeros((r + b.cols,) * 2, dtype=np.complex128)
+    big[:r, :r] = x @ x.conj().T
+    big[r:, :r] = x.conj().T
     v = np.zeros(e.dim, dtype=np.complex128)
-    start = e.block_slices[bi].start
-    v[start:start + dl] = acoords[0]
-    # lower-left X = sum_i s_i m_i* equals x* when conj(s) are x's coordinates
-    v[start + dl + dm:start + dl + 2 * dm] = xcoords[0].conj()
+    v[sl], resid = b.split(big)
+    if resid > 1e-8:
+        raise DecompositionInconclusive(
+            f"partial isometry escapes its corner span (residual {resid:.2e})")
     v /= e.norm(v)
     gap = abs(e.norm(e.mul_coords(e.star_coords(v), v)) - e.norm(v) ** 2)
     return EmbeddingElement(v), float(gap)

@@ -29,10 +29,6 @@ class DecompositionInconclusive(TernlabError):
     """A spectral splitting could not be resolved within tolerance/budget."""
 
 
-class SolverBudgetExceeded(TernlabError):
-    """An iterative search exhausted its restart or round budget."""
-
-
 class PreconditionFailed(TernlabError):
     """A documented precondition was violated by the caller."""
 

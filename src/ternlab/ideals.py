@@ -14,15 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import matkernel as mk
-from .embedding import (
-    StandardEmbedding,
-    _assoc_ideal_residual,
-    _ternary_ideal_residual,
-    peirce_split,
-)
-from .errors import NotAnIdeal
+from .embedding import StandardEmbedding, _ternary_ideal_residual, peirce_split
+from .errors import InvalidInput, NotAnIdeal
 from .ternary import (
     StructureConstants,
     TernarySpace,
@@ -33,6 +29,7 @@ from .ternary import (
 )
 
 DEFAULT_TOL = 1e-8
+QUOTIENT_CHECK_SAMPLES = 20    # perturbed representative triples per quotient
 
 
 @dataclass(frozen=True)
@@ -93,52 +90,23 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
                 tol: float = DEFAULT_TOL) -> np.ndarray:
     """The ideal L(I) ⊕ I ⊕ Ibar ⊕ R(I) inside the embedding.
 
-    Returns an orthonormal column basis in embedding coordinates and
-    verifies the associative ideal property; the Peirce corners of the
+    I sits in the M slot and Ibar in the Mbar slot; L(I) = span{x y*}
+    and R(I) = span{x* y} are their products in both orders.  Returns an
+    orthonormal column basis in embedding coordinates, verified as an
+    associative ideal by ``peirce_split``; the Peirce corners of the
     result are exactly the four constituents.
     """
-    m = e.base
-    if not is_ideal(m, ideal.basis, tol):
+    if not is_ideal(e.base, ideal.basis, tol):
         raise NotAnIdeal("subspace fails the ternary ideal containments")
-    cols = []
-    d = m.dim
-    dim_e = e.dim
-    # I in the M slot, Ibar in the Mbar slot
-    for j in range(ideal.dim):
-        cols.append(e.embed_base(ideal.basis[:, j]).coords)
-        cols.append(e.embed_base_conj(ideal.basis[:, j]).coords)
-    # L(I) = span{x y* : x, y in I} and R(I) = span{x* y} per block
-    mats = [m.realize(ideal.basis[:, j]) for j in range(ideal.dim)]
-    offset = 0
-    for bi, (blk, be) in enumerate(zip(m.blocks, e.blocks)):
-        xs = np.stack([mat[bi] for mat in mats]) if mats else None
-        if xs is not None and xs.size:
-            ll = np.einsum("iab,jcb->ijac", xs, xs.conj(),
-                           optimize=True).reshape(-1, blk.rows, blk.rows)
-            lc, resid = be._proj(be._l_pinv, be.l_stack, ll)
-            if resid > tol * max(1.0, float(np.abs(ll).max(initial=0.0))):
-                raise NotAnIdeal("L(I) escapes the L(M) span")
-            rr = np.einsum("iba,jbc->ijac", xs.conj(), xs,
-                           optimize=True).reshape(-1, blk.cols, blk.cols)
-            rc, resid = be._proj(be._r_pinv, be.r_stack, rr)
-            if resid > tol * max(1.0, float(np.abs(rr).max(initial=0.0))):
-                raise NotAnIdeal("R(I) escapes the R(M) span")
-            dl, dm, dw, dr = be.dims
-            for row in lc.reshape(-1, dl):
-                v = np.zeros(dim_e, dtype=np.complex128)
-                v[offset:offset + dl] = row
-                cols.append(v)
-            for row in rc.reshape(-1, dr):
-                v = np.zeros(dim_e, dtype=np.complex128)
-                v[offset + dl + dm + dw:offset + be.dim] = row
-                cols.append(v)
-        offset += be.dim
-    span = mk.colspace(np.stack(cols, axis=1) if cols else
-                       np.zeros((dim_e, 0), dtype=np.complex128))
-    resid = _assoc_ideal_residual(e, span)
-    if resid > tol * 10:
-        raise NotAnIdeal(f"embedded subspace fails the associative ideal check "
-                         f"(residual {resid:.2e})")
+    placed = np.zeros((2, ideal.dim, e.dim), dtype=np.complex128)
+    placed[0][:, e.corner_indices["M"]] = ideal.basis.T
+    placed[1][:, e.corner_indices["Mbar"]] = ideal.basis.T.conj()
+    try:
+        lr = [e.mul_coords(x[:, None], y[None], tol).reshape(-1, e.dim)
+              for x, y in (placed, placed[::-1])]
+    except InvalidInput as exc:
+        raise NotAnIdeal(f"L(I) or R(I) escapes its corner span: {exc}") from None
+    span = mk.colspace(np.concatenate([*placed, *lr]).T)
     corners = peirce_split(e, span, tol=max(tol, 1e-8))
     expect = (span.shape[1] - 2 * ideal.dim) == corners.dims[0] + corners.dims[3]
     if not (corners.dims[1] == corners.dims[2] == ideal.dim and expect):
@@ -160,7 +128,7 @@ def _same_space(p: TernarySpace, m: TernarySpace) -> bool:
 
 
 def quotient(m: TernarySpace, ideal: TernaryIdeal, tol: float = DEFAULT_TOL,
-             seed: int = 0, check_samples: int = 20) -> TernarySpace:
+             seed: int = 0) -> TernarySpace:
     """The quotient ternary ring on an orthogonal complement of the ideal.
 
     The induced structure constants are validated for representative
@@ -177,19 +145,17 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal, tol: float = DEFAULT_TOL,
     if k == 0:
         return TernarySpace(structure=StructureConstants(
             0, np.zeros((0, 0, 0, 0), dtype=np.complex128)))
-    full = np.hstack([j, comp])
-    inv = np.linalg.pinv(full)
 
     def quot_coords(vecs):
-        # coset coordinates: expansion in [J | C], keep the C part
-        return (np.asarray(vecs) @ inv.T)[..., j.shape[1]:]
+        # coset coordinates: [J | C] is unitary, so the C part is v @ conj(C)
+        return np.asarray(vecs) @ comp.conj()
 
     cols = comp.T
     c = quot_coords(_triple_coords(m, cols[:, None, None], cols[None, :, None], cols[None, None]))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(check_samples):
+    for _ in range(QUOTIENT_CHECK_SAMPLES):
         x, y, z = (m.random_element(rng).coords for _ in range(3))
         jx, jy, jz = (j @ (rng.standard_normal(j.shape[1])
                            + 1j * rng.standard_normal(j.shape[1]))
@@ -231,19 +197,6 @@ class QuotientNormResult:
         return {"upper": self.upper, "lower": self.lower, "gap": self.gap}
 
 
-def _blockdiag(mats):
-    sizes = [(a.shape[0], a.shape[1]) for a in mats]
-    rr = sum(s[0] for s in sizes)
-    cc = sum(s[1] for s in sizes)
-    out = np.zeros((rr, cc), dtype=np.complex128)
-    r0 = c0 = 0
-    for a in mats:
-        out[r0:r0 + a.shape[0], c0:c0 + a.shape[1]] = a
-        r0 += a.shape[0]
-        c0 += a.shape[1]
-    return out
-
-
 def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
                   seed: int = 0) -> QuotientNormResult:
     """Certified bounds on the coset norm inf_{j in J} ||f - j||.
@@ -263,14 +216,12 @@ def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
     j = ideal.basis
     nj = j.shape[1]
 
-    def big(coords):
-        return _blockdiag(m.realize(coords))
-
-    fmat = big(fv)
+    # block-diagonal realizations of f and of J's basis, one batched call
+    mats = scipy.linalg.block_diag(*m.realize_batch(np.vstack([fv, j.T])))
+    fmat, jmats = mats[0], mats[1:]
     if nj == 0:
         n = mk.op_norm(fmat)
         return QuotientNormResult(upper=n, lower=n)
-    jmats = np.stack([big(j[:, i]) for i in range(nj)])
     qj = mk.colspace(jmats.reshape(nj, -1).T)
 
     def drop_j(mat):

@@ -216,7 +216,7 @@ def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL,
 
     _audit_ideal(a, rad)
     comp = mk.nullspace(rad.conj().T, tol)
-    quotient = _quotient_algebra(a, rad, comp)
+    quotient = _quotient_algebra(a, comp)
     inner = jacobson_radical(quotient, tol, verify=False)
     if inner.shape[1] != 0:
         raise DecompositionInconclusive(
@@ -243,18 +243,16 @@ def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
                 f"computed radical is not an ideal (residual {resid:.2e})")
 
 
-def _quotient_algebra(a: AssocAlgebra, ideal: np.ndarray,
-                      comp: np.ndarray) -> AssocAlgebra:
-    """Induced product on a complement of an ideal (coset table)."""
+def _quotient_algebra(a: AssocAlgebra, comp: np.ndarray) -> AssocAlgebra:
+    """Induced product on the orthonormal complement of an ideal (coset
+    table); [ideal | comp] is unitary, so coset coordinates are v @ conj(comp)."""
     k = comp.shape[1]
     if k == 0:
         return AssocAlgebra(table=np.zeros((0, 0, 0), dtype=np.complex128))
-    full = np.hstack([ideal, comp])
-    inv = np.linalg.pinv(full)
     # [i, j] holds the product of complement columns i and j
     d = a.dim
     prods = comp.T @ (comp.T @ a.table.reshape(d, d * d)).reshape(k, d, d)
-    return AssocAlgebra(table=(prods @ inv.T)[..., ideal.shape[1]:])
+    return AssocAlgebra(table=prods @ comp.conj())
 
 
 def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,

@@ -24,17 +24,20 @@ from .errors import (
     InvalidInput,
     NormUnavailable,
     ShapeError,
-    SolverBudgetExceeded,
 )
 
 DEFAULT_TOL = 1e-9
 AXIOM_TOL = 1e-8
-CLOSURE_MAX_ROUNDS = 64
 
 
 def _triple_mats(x, y, z, sign):
     """Blockwise product sign * x y* z; inputs may carry batch axes."""
     return sign * (x @ np.swapaxes(y, -1, -2).conj() @ z)
+
+
+def _basis_triples(stack):
+    """(n, n, n, r, c) array of the products x y* z over a stack of n matrices."""
+    return np.einsum("iab,jcb,kcd->ijkad", stack, stack.conj(), stack, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ class SignedBlock:
 
     def closure_residual(self) -> float:
         """Worst relative distance of a basis triple product from the span."""
-        prods = np.einsum("iab,jcb,kcd->ijkad", self.stack, self.stack.conj(),
-                          self.stack, optimize=True)
+        prods = _basis_triples(self.stack)
         _, resid = self.project(prods.reshape(-1, self.rows, self.cols))
         return resid / max(1.0, float(np.abs(prods).max(initial=0.0)))
 
@@ -410,13 +412,12 @@ def direct_sum(*spaces: TernarySpace) -> TernarySpace:
     return TernarySpace.from_blocks(blocks, validate=False)
 
 
-def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL,
-                    max_rounds: int = CLOSURE_MAX_ROUNDS) -> TernarySpace:
+def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL) -> TernarySpace:
     """Smallest signed block containing the generators.
 
     Iterates span-augmentation by basis triple products until the
-    dimension stabilizes; raises SolverBudgetExceeded after
-    ``max_rounds`` non-stabilizing rounds.
+    dimension stabilizes; each round grows the span or returns, so the
+    loop ends within rows * cols rounds.
     """
     mats = [mk.as_cmatrix(g) for g in generators]
     if not mats:
@@ -430,21 +431,14 @@ def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL,
     span = mk.colspace(flat, tol)
     if span.shape[1] == 0:
         raise InvalidInput("generators span the zero space")
-    for _ in range(max_rounds):
-        stack = span.T.reshape(-1, rows, cols)
-        prods = np.einsum("iab,jcb,kcd->ijkad", stack, stack.conj(), stack,
-                          optimize=True).reshape(-1, rows * cols)
+    while True:
+        prods = _basis_triples(span.T.reshape(-1, rows, cols)).reshape(-1, rows * cols)
         new_span = mk.subspace_union(span, prods.T, tol)
-        if new_span.shape[1] == span.shape[1]:
+        if new_span.shape[1] in (span.shape[1], rows * cols):
             basis = tuple(new_span.T.reshape(-1, rows, cols))
             return TernarySpace.from_blocks(
                 [SignedBlock(sign, rows, cols, basis)], validate=True, tol=max(tol, 1e-8))
         span = new_span
-        if span.shape[1] >= rows * cols:
-            basis = tuple(span.T.reshape(-1, rows, cols))
-            return TernarySpace.from_blocks(
-                [SignedBlock(sign, rows, cols, basis)], validate=True, tol=max(tol, 1e-8))
-    raise SolverBudgetExceeded(f"closure did not stabilize in {max_rounds} rounds")
 
 
 # ---------------------------------------------------------------------------

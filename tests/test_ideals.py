@@ -217,3 +217,57 @@ def test_quotient_rejects_ideal_of_another_space():
     assert idl.quotient(tern.as_structure_space(twin), s_ideal).dim == 1
     with pytest.raises(NotAnIdeal, match="does not belong"):
         idl.quotient(tern.as_structure_space(tern.diagonal_space(2, +1)), s_ideal)
+
+
+def _block_first_coordinate_ideals(m):
+    """The ideal generated by the first coordinate of each block."""
+    eye = np.eye(m.dim, dtype=np.complex128)
+    return [idl.generated_ideal(m, [eye[s.start]]) for s in m.block_slices]
+
+
+def _embed_ideal_reference(e, ideal):
+    """L(I) ⊕ I ⊕ Ibar ⊕ R(I) built block by block: the products x y* and
+    x* y of each block's part of I, projected onto the L and R bases with
+    their pinvs and placed at explicit corner offsets."""
+    cols = ([e.embed_base(v).coords for v in ideal.basis.T]
+            + [e.embed_base_conj(v).coords for v in ideal.basis.T])
+    mats = [e.base.realize(v) for v in ideal.basis.T]
+    for bi, (be, s) in enumerate(zip(e.blocks, e.block_slices)):
+        xs = np.stack([mat[bi] for mat in mats])
+        ll = np.einsum("iab,jcb->ijac", xs, xs.conj()).reshape(-1, be.rows ** 2)
+        rr = np.einsum("iba,jbc->ijac", xs.conj(), xs).reshape(-1, be.cols ** 2)
+        dl, dm, dw, dr = be.dims
+        for flat, stack, start in ((ll, be.l_stack, s.start),
+                                   (rr, be.r_stack, s.start + dl + dm + dw)):
+            coords = flat @ np.linalg.pinv(stack.reshape(len(stack), -1).T).T
+            for row in coords:
+                v = np.zeros(e.dim, dtype=np.complex128)
+                v[start:start + len(stack)] = row
+                cols.append(v)
+    return mk.colspace(np.stack(cols, axis=1))
+
+
+def test_embed_ideal_matches_corner_reference(catalog):
+    for name, m in catalog:
+        e = emb.build_embedding(m)
+        for ideal in _block_first_coordinate_ideals(m):
+            span = idl.embed_ideal(e, ideal)
+            want = _embed_ideal_reference(e, ideal)
+            assert span.shape == want.shape, name
+            assert mk.subspace_distance(span, want) <= 1e-10, name
+
+
+def test_quotient_matches_pinv_coset_coordinates(catalog):
+    for name, m in catalog:
+        for ideal in _block_first_coordinate_ideals(m):
+            # coset coordinates from the pinv of [J | C], keeping the C part
+            j = ideal.basis
+            comp = mk.nullspace(j.conj().T)
+            inv = np.linalg.pinv(np.hstack([j, comp]))
+            cols = comp.T
+            prods = tern._triple_coords(m, cols[:, None, None], cols[None, :, None],
+                                        cols[None, None])
+            want = (prods @ inv.T)[..., j.shape[1]:]
+            got = idl.quotient(m, ideal).structure.c
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12, name
