@@ -153,7 +153,7 @@ def _cmd_verify(m, name, args):
 
 
 def _cmd_decompose(m, name, args):
-    split = tern.zettl_decompose(m, seed=args.seed, tol=args.tol)
+    split = tern.zettl_decompose(m, tol=args.tol)
     details = {
         "dim": m.dim,
         "dim_plus": split.plus.dim,
@@ -215,9 +215,8 @@ def _cmd_quotient(m, name, args):
         "quotient_structure_constants": _encode_array(np.asarray(q.structure.c)),
     }
     if m.is_block:
-        details["expected_zettl_dims"] = list(idl.quotient_zettl_dims(m, ideal,
-                                                                      seed=args.seed))
-        split = tern.zettl_decompose(q, seed=args.seed)
+        details["expected_zettl_dims"] = list(idl.quotient_zettl_dims(m, ideal))
+        split = tern.zettl_decompose(q)
         details["quotient_zettl_dims"] = [split.plus.dim, split.minus.dim]
         passed = details["expected_zettl_dims"] == details["quotient_zettl_dims"]
         return passed, details
@@ -230,7 +229,7 @@ def _cmd_wedderburn(m, name, args):
     n = math.isqrt(e.dim)
     sol = wed.solve_wedderburn(alg, n, seed=args.seed)
     target = rad.matrix_algebra(n)
-    _, dev = wed.star_obstruction(sol.phi, alg, target, seed=args.seed)
+    _, dev = wed.star_obstruction(sol.phi, alg, target)
     details = {
         "target_dim": n,
         "residual": sol.residual,
@@ -302,7 +301,7 @@ def _cmd_demo(args, out):
         raise ValueError(f"unknown demo '{name}'; available: {', '.join(DEMO_NAMES)}")
     m = spaces[name]()
     axioms = tern.check_axioms(m, samples=args.samples, seed=args.seed, tol=args.tol)
-    split = tern.zettl_decompose(m, seed=args.seed)
+    split = tern.zettl_decompose(m)
     radical = rad.ternary_radical(m, seed=args.seed)
     details = {
         "instance": to_instance_dict(m, name),

@@ -288,12 +288,11 @@ def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedd
     blocks = []
     for blk in m.blocks:
         stack = blk.stack
-        ll = np.einsum("iab,jcb->ijac", stack, stack.conj(),
-                       optimize=True).reshape(-1, blk.rows * blk.rows)
+        adj = np.swapaxes(stack, -1, -2).conj()
+        ll = (stack[:, None] @ adj[None]).reshape(-1, blk.rows * blk.rows)   # x y*
         l_basis = mk.colspace(ll.T, tol)
         l_stack = l_basis.T.reshape(-1, blk.rows, blk.rows)
-        rr = np.einsum("iba,jbc->ijac", stack.conj(), stack,
-                       optimize=True).reshape(-1, blk.cols * blk.cols)
+        rr = (adj[:, None] @ stack[None]).reshape(-1, blk.cols * blk.cols)   # x* y
         r_basis = mk.colspace(rr.T, tol)
         r_stack = r_basis.T.reshape(-1, blk.cols, blk.cols)
         p = _support_projection(list(stack), blk.rows)

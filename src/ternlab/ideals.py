@@ -48,11 +48,6 @@ class TernaryIdeal:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        v = as_coords(self.parent, x)
-        _, resid = mk.project_columns(self.basis, v)
-        return resid <= tol * max(1.0, float(np.linalg.norm(v)))
-
 
 def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
     """All three containments [MMI], [IMM], [MIM] hold within tolerance.
@@ -93,11 +88,10 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
     I sits in the M slot and Ibar in the Mbar slot; L(I) = span{x y*}
     and R(I) = span{x* y} are their products in both orders.  Returns an
     orthonormal column basis in embedding coordinates, verified as an
-    associative ideal by ``peirce_split``; the Peirce corners of the
-    result are exactly the four constituents.
+    associative ideal by ``peirce_split`` (NotAnIdeal otherwise, so a
+    subspace that is no ternary ideal is rejected there); the Peirce
+    corners of the result are exactly the four constituents.
     """
-    if not is_ideal(e.base, ideal.basis, tol):
-        raise NotAnIdeal("subspace fails the ternary ideal containments")
     placed = np.zeros((2, ideal.dim, e.dim), dtype=np.complex128)
     placed[0][:, e.corner_indices["M"]] = ideal.basis.T
     placed[1][:, e.corner_indices["Mbar"]] = ideal.basis.T.conj()
@@ -170,10 +164,9 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal, tol: float = DEFAULT_TOL,
     return TernarySpace.from_structure(c, validate=True, tol=max(tol, 1e-8))
 
 
-def quotient_zettl_dims(m: TernarySpace, ideal: TernaryIdeal,
-                        seed: int = 0) -> tuple:
+def quotient_zettl_dims(m: TernarySpace, ideal: TernaryIdeal) -> tuple:
     """Expected (plus, minus) dimensions of the quotient's splitting."""
-    split = zettl_decompose(m, seed=seed)
+    split = zettl_decompose(m)
     jp = mk.subspace_intersect(ideal.basis, split.plus_coords)
     jm = mk.subspace_intersect(ideal.basis, split.minus_coords)
     return (split.plus_coords.shape[1] - jp.shape[1],

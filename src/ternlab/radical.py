@@ -416,15 +416,13 @@ def check_shifting_principle(a: AssocAlgebra, phi, psi, x, y,
 
 
 def _validate_shifting_maps(a: AssocAlgebra, phi, psi, tol):
-    t = a.table
+    t, d = a.table, a.dim
     scale = max(1.0, float(np.abs(t).max(initial=0.0)) ** 2)
     for f, g in ((phi, psi), (psi, phi)):
-        # f(b_i) b_j f(b_k)  vs  f(b_i g(b_j) b_k)
-        fi = np.einsum("pi,pjm->ijm", f, t, optimize=True)    # f(b_i) b_j
-        lhs = np.einsum("ijm,qk,mql->ijkl", fi, f, t, optimize=True)
-        ig = np.einsum("qj,iqm->ijm", g, t, optimize=True)    # b_i g(b_j)
-        rhs_arg = np.einsum("ijm,mkl->ijkl", ig, t, optimize=True)
-        rhs = np.einsum("ijkp,lp->ijkl", rhs_arg, f, optimize=True)
+        # f(b_i) b_j f(b_k)  vs  f(b_i g(b_j) b_k), both laid out as (i, j, k, l):
+        # (f(b_i) b_j)_m times (b_m f(b_k))_l, and (b_i g(b_j))_m times f(b_m b_k)_l
+        lhs = (f.T @ t.reshape(d, d * d)).reshape(d * d, d) @ (f.T @ t).reshape(d, d * d)
+        rhs = (g.T @ t).reshape(d * d, d) @ (t @ f.T).reshape(d, d * d)
         resid = float(np.abs(lhs - rhs).max(initial=0.0)) / scale
         if resid > tol:
             raise PreconditionFailed(

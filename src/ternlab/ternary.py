@@ -36,8 +36,14 @@ def _triple_mats(x, y, z, sign):
 
 
 def _basis_triples(stack):
-    """(n, n, n, r, c) array of the products x y* z over a stack of n matrices."""
-    return np.einsum("iab,jcb,kcd->ijkad", stack, stack.conj(), stack, optimize=True)
+    """(n, n, n, r, c) array of the products x y* z over a stack of n matrices.
+
+    The n^2 products x y* are batched; z enters as one (n n r, r) @ (r, n c)
+    matmul, not n^3 tiny ones."""
+    n, r, c = stack.shape
+    xy = stack[:, None] @ np.swapaxes(stack, -1, -2).conj()[None]
+    xyz = xy.reshape(-1, r) @ stack.transpose(1, 0, 2).reshape(r, n * c)
+    return xyz.reshape(n, n, r, n, c).transpose(0, 1, 3, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -151,14 +157,20 @@ class StructureConstants:
         cbar = c.conj().transpose(2, 1, 0, 3).reshape(d ** 3, d)
         lhs = np.empty((d ** 2, d ** 3), dtype=np.complex128)
         rhs = np.empty((d ** 3, d ** 2), dtype=np.complex128)
+        step = max(1, 2 ** 16 // d ** 2)
+
+        def absmax(a):
+            # row chunks of at most max(d^2, 2^16) entries, not a d^5 float copy
+            return max(float(np.abs(a[s:s + step]).max()) for s in range(0, len(a), step))
+
         for i in range(d):
             np.matmul(c[i].reshape(d ** 2, d), c.reshape(d, d ** 3), out=lhs)
             np.matmul(cbar, c[i].reshape(d, d ** 2), out=rhs)
             rhs -= lhs.reshape(rhs.shape)
-            worst = max(worst, float(np.abs(rhs).max()))
+            worst = max(worst, absmax(rhs))
             np.matmul(c.reshape(d ** 3, d), c[i], out=rhs.reshape(d, d ** 3, d))
             rhs -= lhs.reshape(rhs.shape)
-            worst = max(worst, float(np.abs(rhs).max()))
+            worst = max(worst, absmax(rhs))
         return worst / scale
 
     def validate(self, tol: float = DEFAULT_TOL):
@@ -615,57 +627,42 @@ def _subspace_restriction(m: TernarySpace, basis: np.ndarray,
     return TernarySpace(structure=StructureConstants(k, inside))
 
 
-def zettl_decompose(m: TernarySpace, seed: int = 0, tol: float = 1e-8) -> ZettlSplit:
+def zettl_decompose(m: TernarySpace, tol: float = 1e-8) -> ZettlSplit:
     """Split M into its TRO-like and anti-TRO-like ideals.
 
     On each part the quadratic operator ``g -> [g f f]`` is positive
     (resp. negative) semidefinite for every f.  Block presentations
-    split exactly by sign; structure presentations are resolved by
-    sampling the operator, accumulating it, and reading the invariant
-    subspaces off an ordered Schur form.  Unresolved near-zero spectrum
-    after the sample budget raises DecompositionInconclusive.
+    split exactly by sign.  Structure presentations read the parts off
+    an ordered Schur form of the trace operator W(g) = sum_j [g b_j b_j]:
+    on a block W is right multiplication by sign * sum_j b_j* b_j, so it
+    is definite there with the block's sign, in any basis.  Non-real or
+    near-zero spectrum of W raises DecompositionInconclusive.
     """
     d = m.dim
     if m.is_block:
-        plus = [b for b in m.blocks if b.sign > 0]
-        minus = [b for b in m.blocks if b.sign < 0]
-        idx_plus = np.concatenate(
-            [np.arange(s.start, s.stop) for b, s in zip(m.blocks, m.block_slices)
-             if b.sign > 0] or [np.zeros(0, dtype=int)])
-        idx_minus = np.concatenate(
-            [np.arange(s.start, s.stop) for b, s in zip(m.blocks, m.block_slices)
-             if b.sign < 0] or [np.zeros(0, dtype=int)])
+        signs = np.repeat([b.sign for b in m.blocks], [b.dim for b in m.blocks])
+        plus = tuple(b for b in m.blocks if b.sign > 0)
+        minus = tuple(b for b in m.blocks if b.sign < 0)
         eye = np.eye(d, dtype=np.complex128)
         return ZettlSplit(
-            plus=TernarySpace(blocks=tuple(plus)) if plus else _empty_space(),
-            minus=TernarySpace(blocks=tuple(minus)) if minus else _empty_space(),
-            plus_coords=eye[:, idx_plus],
-            minus_coords=eye[:, idx_minus],
+            plus=TernarySpace(blocks=plus) if plus else _empty_space(),
+            minus=TernarySpace(blocks=minus) if minus else _empty_space(),
+            plus_coords=eye[:, signs > 0],
+            minus_coords=eye[:, signs < 0],
         )
 
     if d == 0:
         empty = np.zeros((0, 0), dtype=np.complex128)
         return ZettlSplit(_empty_space(), _empty_space(), empty, empty)
 
-    rng = np.random.default_rng(seed)
-    w = np.zeros((d, d), dtype=np.complex128)
-    samples_per_round = 8 * d
-    for _ in range(4):
-        fs = (rng.standard_normal((samples_per_round, d))
-              + 1j * rng.standard_normal((samples_per_round, d))) / np.sqrt(2 * d)
-        # sum of the operators g -> [g f f] over the sample batch
-        w += np.einsum("ijkl,jk->li", m.structure.c, fs.conj().T @ fs, optimize=True)
-        scale = mk.op_norm(w)
-        eigvals = np.linalg.eigvals(w)
-        if np.max(np.abs(eigvals.imag), initial=0.0) > 1e-8 * max(scale, 1.0):
-            raise DecompositionInconclusive(
-                "accumulated quadratic operator has non-real spectrum")
-        gap = 1e-9 * max(scale, 1.0)
-        if not np.any(np.abs(eigvals.real) <= gap):
-            break
-    else:
-        raise DecompositionInconclusive(
-            "sample budget exhausted with unresolved near-zero spectrum")
+    w = np.einsum("ijjl->li", m.structure.c)
+    scale = max(mk.op_norm(w), 1.0)
+    eigvals = np.linalg.eigvals(w)
+    if np.max(np.abs(eigvals.imag), initial=0.0) > 1e-8 * scale:
+        raise DecompositionInconclusive("trace operator has non-real spectrum")
+    gap = 1e-9 * scale
+    if np.any(np.abs(eigvals.real) <= gap):
+        raise DecompositionInconclusive("trace operator has near-zero spectrum")
 
     _, z_pos, n_pos = scipy.linalg.schur(
         w, output="complex", sort=lambda lam: lam.real > gap)
@@ -723,18 +720,10 @@ def jbstar_box_check(m: TernarySpace, a, tol: float = 1e-8) -> SpectrumReport:
     """
     m._need_blocks("jbstar_box_check")
     av = as_coords(m, a)
-    d = m.dim
-    mat = np.zeros((2 * d, 2 * d))
-    for j in range(2 * d):
-        x = np.zeros(d, dtype=np.complex128)
-        if j < d:
-            x[j] = 1.0
-        else:
-            x[j - d] = 1.0j
-        out = 0.5 * (_triple_coords(m, av, av, x) + _triple_coords(m, av, x, av))
-        mat[:d, j] = out.real
-        mat[d:, j] = out.imag
-    eigvals = np.linalg.eigvals(mat)
+    eye = np.eye(m.dim, dtype=np.complex128)
+    xs = np.vstack([eye, 1j * eye])  # the real basis e_j, i e_j of C^d
+    out = 0.5 * (_triple_coords(m, av, av, xs) + _triple_coords(m, av, xs, av))
+    eigvals = np.linalg.eigvals(np.hstack([out.real, out.imag]).T)
     scale = max(1.0, m.norm(av) ** 2)
     min_real = float(eigvals.real.min(initial=0.0))
     max_imag = float(np.abs(eigvals.imag).max(initial=0.0))

@@ -115,30 +115,19 @@ def verify_isomorphism(phi: np.ndarray, a: AssocAlgebra,
                              invertible=bool(np.isfinite(cond) and cond < 1e8))
 
 
-def star_obstruction(phi: np.ndarray, a: AssocAlgebra, b: AssocAlgebra,
-                     samples: int = 64, seed: int = 0):
-    """Witness x maximizing ||phi(x*) - phi(x)*|| over basis and samples.
+def star_obstruction(phi: np.ndarray, a: AssocAlgebra, b: AssocAlgebra):
+    """Unit witness x attaining sup ||phi(x*) - phi(x)*|| over unit x, and that sup.
 
-    A genuine *-isomorphism would yield deviation 0; the twisted
+    x -> phi(x*) - phi(x)* is D conj(x) with D = phi a.star - b.star conj(phi),
+    so the sup is the top singular value of D, attained at the top row of
+    its V^H.  A genuine *-isomorphism would yield deviation 0; the twisted
     algebras admit none, so a positive deviation is expected there.
     """
     if a.star is None or b.star is None:
         raise PreconditionFailed("both algebras need involutions")
     phi = np.asarray(phi, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    d = a.dim
-    cands = [np.eye(d, dtype=np.complex128)[i] for i in range(d)]
-    for _ in range(samples):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        cands.append(v / np.linalg.norm(v))
-
-    def deviation(x):
-        lhs = phi @ (a.star @ x.conj())
-        rhs = b.star @ (phi @ x).conj()
-        return float(np.linalg.norm(lhs - rhs))
-
-    best = max(cands, key=deviation)
-    return best, deviation(best)
+    _, s, vh = np.linalg.svd(phi @ a.star - b.star @ phi.conj())
+    return vh[0], float(s[0])
 
 
 # ---------------------------------------------------------------------------

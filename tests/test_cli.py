@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import scramble
 from ternlab import cli
 from ternlab import radical as rad
 from ternlab import ternary as tern
@@ -197,6 +198,16 @@ def test_reports_deterministic_under_seed(mixed_file):
     a = _run_json(["embed", mixed_file, "--seed", "7", "--samples", "20"])
     b = _run_json(["embed", mixed_file, "--seed", "7", "--samples", "20"])
     assert a == b
+
+
+def test_decompose_structure_input_ignores_seed(tmp_path, catalog):
+    ms, _ = scramble(dict(catalog)["mix-full-scalar"], np.random.default_rng(3))
+    path = _write(tmp_path, "scrambled.json", cli.to_instance_dict(ms, "scrambled"))
+    reps = [_run_json(["decompose", path, "--seed", seed])[1]["details"]
+            for seed in ("0", "7")]
+    assert (reps[0]["dim_plus"], reps[0]["dim_minus"]) == (4, 1)
+    for key in ("plus_coords", "minus_coords"):
+        assert reps[0][key] == reps[1][key]
 
 
 def test_seed_env_fallback(mixed_file, monkeypatch):

@@ -67,6 +67,14 @@ def test_embed_ideal_examples(cc_tro):
     assert idl.embed_ideal(e, zero).shape[1] == 0
 
 
+def test_embed_ideal_rejects_non_ideal():
+    m = tern.full_matrix_space(2, 2, +1)
+    e11 = np.zeros((4, 1), dtype=np.complex128)
+    e11[0] = 1.0  # span{E11} is no ternary ideal of full(2, 2, +1)
+    with pytest.raises(NotAnIdeal):
+        idl.embed_ideal(emb.build_embedding(m), idl.TernaryIdeal(m, e11))
+
+
 def test_embed_ideal_random(catalog):
     rng = np.random.default_rng(2)
     count = 0
@@ -110,7 +118,7 @@ def test_quotient_signs_preserved():
         m, [np.eye(4, dtype=np.complex128)[0], np.eye(4, dtype=np.complex128)[2]])
     assert idl.quotient_zettl_dims(m, ideal) == (1, 1)
     q = idl.quotient(m, ideal)
-    split = tern.zettl_decompose(q, seed=0)
+    split = tern.zettl_decompose(q)
     assert (split.plus.dim, split.minus.dim) == (1, 1)
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -191,6 +192,19 @@ def test_shifting_principle_rejects_bad_maps(anti_m2):
     bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(PreconditionFailed):
         rad.check_shifting_principle(anti_m2, bad, bad, [1, 0, 0, 0], [0, 1, 0, 0])
+
+
+def test_shifting_residual_matches_reference(anti_m2):
+    # f(b_i) b_j f(b_k) against f(b_i g(b_j) b_k), one basis triple at a time;
+    # the first pair (f, g) already fails, so its residual is the one reported
+    rng = np.random.default_rng(6)
+    f, g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    eye, mul = np.eye(4, dtype=np.complex128), anti_m2.mul
+    ref = max(np.abs(mul(mul(f @ x, y), f @ z) - f @ mul(mul(x, g @ y), z)).max()
+              for x in eye for y in eye for z in eye)
+    ref /= max(1.0, np.abs(anti_m2.table).max() ** 2)
+    with pytest.raises(PreconditionFailed, match=re.escape(f"residual {ref:.2e}")):
+        rad._validate_shifting_maps(anti_m2, f, g, tol=1e-8)
 
 
 def test_unit_detection(anti_m2, nilpotent_2d, scalar_c):

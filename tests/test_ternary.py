@@ -171,7 +171,7 @@ def test_zettl_mixed_basis_recovery():
     si = np.linalg.inv(s)
     c2 = np.einsum("pqrs,pi,qj,rk,ls->ijkl", c, s, s.conj(), s, si)
     ms = tern.TernarySpace.from_structure(c2)
-    split = tern.zettl_decompose(ms, seed=0)
+    split = tern.zettl_decompose(ms)
     assert (split.plus.dim, split.minus.dim) == (1, 1)
     e0 = np.zeros((2, 1)); e0[0, 0] = 1
     e1 = np.zeros((2, 1)); e1[1, 0] = 1
@@ -184,10 +184,10 @@ def test_zettl_mixed_basis_recovery():
 def test_zettl_idempotent():
     m = tern.full_matrix_space(2, 2, +1)
     split = tern.zettl_decompose(m)
-    again = tern.zettl_decompose(split.plus, seed=1)
+    again = tern.zettl_decompose(split.plus)
     assert again.plus.dim == 4 and again.minus.dim == 0
     ms = tern.as_structure_space(m)
-    again = tern.zettl_decompose(ms, seed=1)
+    again = tern.zettl_decompose(ms)
     assert again.plus is ms and again.minus.dim == 0
 
 
@@ -227,7 +227,7 @@ def test_zettl_opposite_swaps():
     so = tern.zettl_decompose(tern.opposite(m))
     assert (so.plus.dim, so.minus.dim) == (sp.minus.dim, sp.plus.dim)
     ms, s = tern.as_structure_space(m), None
-    so = tern.zettl_decompose(tern.opposite(ms), seed=2)
+    so = tern.zettl_decompose(tern.opposite(ms))
     assert (so.plus.dim, so.minus.dim) == (sp.minus.dim, sp.plus.dim)
 
 
@@ -235,7 +235,7 @@ def test_zettl_inconclusive_on_degenerate_tensor():
     # zero triple product is associative but carries no sign information
     z = tern.TernarySpace.from_structure(np.zeros((2, 2, 2, 2)))
     with pytest.raises(DecompositionInconclusive):
-        tern.zettl_decompose(z, seed=0)
+        tern.zettl_decompose(z)
 
 
 def test_triple_shape_mismatch():
@@ -292,6 +292,15 @@ def test_structure_triple_matches_einsum(d):
                         optimize=False)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
+def test_basis_triples_match_reference(catalog):
+    for _, m in catalog:
+        for b in m.blocks:
+            ref = np.einsum("iab,jcb,kcd->ijkad", b.stack, b.stack.conj(), b.stack)
+            got = tern._basis_triples(b.stack)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _assoc_residual_reference(c):

@@ -129,6 +129,19 @@ def test_star_obstruction_any_solver_output(anti_m2, m2x):
         assert dev > 0.1
 
 
+def test_star_obstruction_is_exact_supremum(anti_m2, m2x):
+    # x -> phi(x*) - phi(x)* is D conj(x), so the supremum over unit x is ||D||_2
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        phi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        top = np.linalg.norm(phi @ anti_m2.star - m2x.star @ phi.conj(), 2)
+        x, dev = wed.star_obstruction(phi, anti_m2, m2x)
+        assert dev == pytest.approx(top, rel=1e-12)
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+        attained = np.linalg.norm(phi @ (anti_m2.star @ x.conj()) - m2x.star @ (phi @ x).conj())
+        assert attained == pytest.approx(top, rel=1e-12)
+
+
 def test_solver_preconditions(anti_m2):
     t = np.zeros((2, 2, 2), dtype=np.complex128)
     t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1.0
