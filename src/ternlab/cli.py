@@ -393,14 +393,20 @@ def main(argv=None, out=None) -> int:
         args.seed = int(os.environ.get("TERNLAB_SEED", "0"))
 
     try:
-        if args.command == "demo":
-            passed, details = _cmd_demo(args, out)
-            return _emit(args, "demo", args.name, passed, details, out)
-        # the verify command reports algebraic defects instead of rejecting
-        validate = args.command != "verify"
-        name, space = load_instance(args.file, validate=validate)
-        passed, details = COMMANDS[args.command](space, name, args)
-        return _emit(args, args.command, name, passed, details, out)
+        # an overflow or invalid value means the instance's scale left double
+        # precision; it is an input error, not a NaN residual or a silent pass
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "demo":
+                passed, details = _cmd_demo(args, out)
+                return _emit(args, "demo", args.name, passed, details, out)
+            # the verify command reports algebraic defects instead of rejecting
+            validate = args.command != "verify"
+            name, space = load_instance(args.file, validate=validate)
+            passed, details = COMMANDS[args.command](space, name, args)
+            return _emit(args, args.command, name, passed, details, out)
+    except FloatingPointError as exc:
+        print(f"input error: values out of double range ({exc})", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

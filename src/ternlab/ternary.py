@@ -145,16 +145,28 @@ class StructureConstants:
         object.__setattr__(self, "c", c)
 
     def associativity_residual(self) -> float:
-        """Worst basis-level residual of the two associativity identities."""
-        c = self.c
-        d = self.dim
+        """Worst basis-level residual of the two associativity identities.
+
+        Relative to max(1, |c|max^2), without squaring |c|max: the residual is
+        homogeneous of degree 2 in c, so the sparse path sweeps
+        c / max(1, |c|max) and the dense one scales one factor of each product
+        by 1 / max(1, |c|max)^2.
+        """
+        c, d = self.c, self.dim
         if d == 0:
             return 0.0
-        scale = max(1.0, float(np.abs(c).max()) ** 2)
+        scale = max(1.0, float(np.abs(c).max()))
+        # [[xyz]uv] against [x[uzy]v] and [xy[zuv]]
+        sweep = ("ijkm,muvl->ijkuvl", ("ukjm*,imvl->ijkuvl", "kuvm,ijml->ijkuvl"))
+        if mk.sparse_pays(c, *sweep):
+            return mk.sparse_gap(c / scale, *sweep)
         worst = 0.0
-        # [[xyz]uv] against [x[uzy]v] and [xy[zuv]] for x = b_i, each side a
-        # matmul laid out as (j, k, u, v, l); cbar[j, k, u, m] = conj(c[u, k, j, m])
+        # for x = b_i, each side a matmul laid out as (j, k, u, v, l), with the
+        # scaled factors c[i] / scale^2 and cbar[j, k, u, m] = conj(c[u, k, j, m]) / scale^2
         cbar = c.conj().transpose(2, 1, 0, 3).reshape(d ** 3, d)
+        cbar /= scale
+        cbar /= scale
+        ci = np.empty((d, d, d), dtype=np.complex128)
         lhs = np.empty((d ** 2, d ** 3), dtype=np.complex128)
         rhs = np.empty((d ** 3, d ** 2), dtype=np.complex128)
         step = max(1, 2 ** 16 // d ** 2)
@@ -164,14 +176,16 @@ class StructureConstants:
             return max(float(np.abs(a[s:s + step]).max()) for s in range(0, len(a), step))
 
         for i in range(d):
-            np.matmul(c[i].reshape(d ** 2, d), c.reshape(d, d ** 3), out=lhs)
+            np.divide(c[i], scale, out=ci)
+            ci /= scale
+            np.matmul(ci.reshape(d ** 2, d), c.reshape(d, d ** 3), out=lhs)
             np.matmul(cbar, c[i].reshape(d, d ** 2), out=rhs)
             rhs -= lhs.reshape(rhs.shape)
             worst = max(worst, absmax(rhs))
-            np.matmul(c.reshape(d ** 3, d), c[i], out=rhs.reshape(d, d ** 3, d))
+            np.matmul(c.reshape(d ** 3, d), ci, out=rhs.reshape(d, d ** 3, d))
             rhs -= lhs.reshape(rhs.shape)
             worst = max(worst, absmax(rhs))
-        return worst / scale
+        return worst
 
     def validate(self, tol: float = DEFAULT_TOL):
         resid = self.associativity_residual()
@@ -582,14 +596,6 @@ def cube_root(m: TernarySpace, a, tol: float = 1e-8) -> TernaryElement:
 
 # ---------------------------------------------------------------------------
 # Zettl decomposition
-
-
-def _right_mult_operator(m: TernarySpace, f: np.ndarray) -> np.ndarray:
-    """Matrix of g -> [g f f] over the coordinate basis."""
-    d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
-    cols = _triple_coords(m, eye, np.broadcast_to(f, (d, d)), np.broadcast_to(f, (d, d)))
-    return cols.T
 
 
 @dataclass(frozen=True)

@@ -220,3 +220,16 @@ def test_parsed_values_do_not_leak_between_runs(mixed_file, monkeypatch):
     monkeypatch.delenv("TERNLAB_SEED", raising=False)
     assert _run_json(["decompose", mixed_file, "--seed", "5"])[1]["seed"] == 5
     assert _run_json(["decompose", mixed_file])[1]["seed"] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_structure_constants_exit_cleanly(tmp_path, capsys):
+    # c = 1e200 squares out of double range; every command still ends in an exit code
+    path = _write(tmp_path, "big.json", {
+        "name": "big", "structure_constants": {"dim": 1, "c": [[[[[1e200, 0.0]]]]]}})
+    ideal = _write(tmp_path, "ideal.json", {"generators": [[[1.0, 0.0]]]})
+    for argv in (["verify", path], ["decompose", path], ["embed", path],
+                 ["radical", path], ["wedderburn", path],
+                 ["quotient", path, "--ideal", ideal]):
+        assert cli.main(argv, out=io.StringIO()) in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err, argv

@@ -207,17 +207,24 @@ def test_zettl_cross_products_vanish():
 
 def test_zettl_quadratic_operator_sign(catalog):
     # r(f, f) has nonnegative spectrum on the plus part, nonpositive on minus
+    def right_mult_operator(m, f):
+        """Matrix of g -> [g f f] over the coordinate basis."""
+        d = m.dim
+        eye = np.eye(d, dtype=np.complex128)
+        f = np.broadcast_to(f, (d, d))
+        return tern._triple_coords(m, eye, f, f).T
+
     rng = np.random.default_rng(8)
     m = tern.direct_sum(tern.full_matrix_space(2, 1, +1), tern.scalar_space(-1))
     split = tern.zettl_decompose(m)
     for _ in range(20):
         fp = split.plus_coords @ (rng.standard_normal(split.plus.dim)
                                   + 1j * rng.standard_normal(split.plus.dim))
-        w = tern._right_mult_operator(m, fp)
+        w = right_mult_operator(m, fp)
         assert np.linalg.eigvals(w).real.min() >= -1e-8
         fm = split.minus_coords @ (rng.standard_normal(split.minus.dim)
                                    + 1j * rng.standard_normal(split.minus.dim))
-        w = tern._right_mult_operator(m, fm)
+        w = right_mult_operator(m, fm)
         assert np.linalg.eigvals(w).real.max() <= 1e-8
 
 
