@@ -44,14 +44,10 @@ EXIT_INPUT_ERROR = 2
 # Instance file format
 
 
-def _encode_complex(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _encode_array(a: np.ndarray):
-    if a.ndim == 0:
-        return _encode_complex(complex(a))
-    return [_encode_array(x) for x in a]
+    """Nested lists of [re, im] float pairs, one pair per entry."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _decode_array(data, depth: int) -> np.ndarray:

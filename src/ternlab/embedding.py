@@ -154,6 +154,17 @@ class BlockEmbedding:
         return s * ((s * a) @ (s * b))
 
 
+def _split_checked(b: BlockEmbedding, big, tol):
+    """``b.split(big)``'s coordinates; InvalidInput when a matrix leaves the
+    block's span by more than tol relative to max(1, the largest entry)."""
+    coords, resid = b.split(big)
+    scale = max(1.0, float(np.abs(big).max(initial=0.0)))
+    if resid > tol * scale:
+        raise InvalidInput(f"block matrix leaves the embedding span "
+                           f"(residual {resid / scale:.2e})")
+    return coords
+
+
 @dataclass(frozen=True)
 class EmbeddingElement:
     """Coordinates of an element of a StandardEmbedding."""
@@ -234,15 +245,7 @@ class StandardEmbedding:
     def _split(self, mats, tol):
         """Coordinates of per-block big matrices; InvalidInput when one
         leaves its block's span."""
-        out = []
-        for b, big in zip(self.blocks, mats):
-            coords, resid = b.split(big)
-            scale = max(1.0, float(np.abs(big).max(initial=0.0)))
-            if resid > tol * scale:
-                raise InvalidInput(f"block matrix leaves the embedding span "
-                                   f"(residual {resid / scale:.2e})")
-            out.append(coords)
-        return out
+        return [_split_checked(b, big, tol) for b, big in zip(self.blocks, mats)]
 
     def norm(self, x) -> float:
         """Block operator norm of the concrete realization."""
@@ -509,14 +512,24 @@ class PeirceCorners:
 def _assoc_ideal_residual(e: StandardEmbedding, span: np.ndarray) -> float:
     """Worst residual of basis products e_i s_j, s_j e_i against span.
 
-    One product pattern at a time, about SPAN_CHUNK_ROWS / 4 rows a batch:
-    ``mul_coords`` keeps several arrays of a batch's size alive, and this
-    check sets the peak memory of an ideal's embedding.
+    Each block multiplies its materialized basis with the span rows' block
+    matrices, in both orders; a basis element of one block times a row's
+    part in another is zero, so those products are never formed.  About
+    SPAN_CHUNK_ROWS / 4 rows a batch, as this check sets the peak memory of
+    an ideal's embedding.
     """
-    eye = np.eye(e.dim, dtype=np.complex128)
-    return max((mk.span_residual(prods, span) for s in mk.span_chunks(span, 4 * e.dim)
-                for prods in (e.mul_coords(eye, s[:, None]), e.mul_coords(s[:, None], eye))),
-               default=0.0)
+    d, worst = e.dim, 0.0
+    bases = [b.materialize(np.eye(b.dim, dtype=np.complex128))[None] for b in e.blocks]
+    for s in mk.span_chunks(span, 4 * d):
+        mats = [b.materialize(s[:, sl])[:, None] for b, sl in zip(e.blocks, e.block_slices)]
+        for left in (True, False):
+            # [row j, basis i]: coordinates of e_i s_j, then of s_j e_i
+            prods = np.zeros((len(s), d, d), dtype=np.complex128)
+            for b, sl, basis, mat in zip(e.blocks, e.block_slices, bases, mats):
+                big = b.mul_big(basis, mat) if left else b.mul_big(mat, basis)
+                prods[:, sl, sl] = _split_checked(b, big, DEFAULT_TOL)
+            worst = max(worst, mk.span_residual(prods, span))
+    return worst
 
 
 def _slice_intersection(span: np.ndarray, keep: np.ndarray, tol=DEFAULT_TOL):

@@ -341,11 +341,14 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
 
     def coords(basis, prods, corner):
         # coordinates of stacked pairs (..., 2 d^2) in the orthonormal basis,
-        # each pair checked against its span
+        # each pair checked against its span; a residual that is not finite
+        # (a product or a 2-norm that overflowed) checks nothing and fails
         cs = prods @ basis.conj()
         resid = np.linalg.norm(cs @ basis.T - prods, axis=-1)
-        if np.any(resid > 1e-7 * np.maximum(1.0, np.linalg.norm(prods, axis=-1))):
-            raise DecompositionInconclusive(f"envelope product left the {corner}-corner span")
+        bound = 1e-7 * np.maximum(1.0, np.linalg.norm(prods, axis=-1))
+        if not np.all(np.isfinite(resid) & (resid <= bound)):
+            raise DecompositionInconclusive(f"envelope product left the {corner}-corner span "
+                                             "or its residual is not finite")
         return cs
 
     # the pairs (a1, a2) of the A basis and (b1, b2) of the B basis

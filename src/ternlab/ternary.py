@@ -327,20 +327,24 @@ class TernarySpace:
 # Triple products
 
 
+def _span_coords(b: SignedBlock, prods: np.ndarray, tol: float) -> np.ndarray:
+    """Coordinates of products of b's matrices; InvalidInput when one leaves
+    b's span by more than tol relative to max(1, the products' largest entry)."""
+    coords, resid = b.project(prods)
+    scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
+    if resid > tol * scale:
+        raise InvalidInput(f"triple product left the block span "
+                           f"(residual {resid / scale:.2e})")
+    return coords
+
+
 def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray,
                    tol: float = DEFAULT_TOL) -> np.ndarray:
     """Batched triple product on coordinate arrays (..., dim)."""
     if m.is_block:
-        outs = []
-        for b, s in zip(m.blocks, m.block_slices):
-            prod = _triple_mats(b.realize(xs[..., s]), b.realize(ys[..., s]),
-                                b.realize(zs[..., s]), b.sign)
-            coords, resid = b.project(prod)
-            scale = max(1.0, float(np.abs(prod).max(initial=0.0)))
-            if resid > tol * scale:
-                raise InvalidInput(f"triple product left the block span "
-                                   f"(residual {resid / scale:.2e})")
-            outs.append(coords)
+        outs = [_span_coords(b, _triple_mats(b.realize(xs[..., s]), b.realize(ys[..., s]),
+                                             b.realize(zs[..., s]), b.sign), tol)
+                for b, s in zip(m.blocks, m.block_slices)]
         if not outs:
             return np.zeros(xs.shape, dtype=np.complex128)
         return np.concatenate(outs, axis=-1)
@@ -362,13 +366,44 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
 
 def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
     """[e_i e_k s], [s e_i e_k] and [e_i s e_k] for each row s of ``s``,
-    grouped by pattern and row as (3 * len(s), d * d, d)."""
-    d = m.dim
-    eye = np.eye(d, dtype=np.complex128)
-    x, y, s = eye[:, None], eye[None], s[:, None, None]
-    prods = np.stack([_triple_coords(m, x, y, s), _triple_coords(m, s, x, y),
-                      _triple_coords(m, x, s, y)])
-    return prods.reshape(-1, d * d, d)
+    grouped by pattern and row as (3 * len(s), d * d, d).
+
+    Structure input contracts s with views of c, d^4 multiply-adds a row.
+    Block input forms each block's products from its basis stack B and the
+    row's matrix S in that block: sign (B_i B_k*) S, sign S (B_i* B_k) and
+    sign B_i S* B_k, each over all rows and pairs (i, k) at once, under the
+    block's span check.  Products with basis elements of two blocks are zero
+    and are not formed.
+    """
+    n, d = len(s), m.dim
+    if not m.is_block:
+        c = m.structure.c
+        out = np.empty((3, n, d ** 3), dtype=np.complex128)
+        np.matmul(s, c.transpose(2, 0, 1, 3).reshape(d, d ** 3), out=out[0])
+        np.matmul(s, c.reshape(d, d ** 3), out=out[1])
+        np.matmul(s.conj(), c.transpose(1, 0, 2, 3).reshape(d, d ** 3), out=out[2])
+        return out.reshape(-1, d * d, d)
+    out = np.zeros((3, n, d, d, d), dtype=np.complex128)
+    for b, sl in zip(m.blocks, m.block_slices):
+        k, r, c = b.dim, b.rows, b.cols
+        basis, mats = b.stack, b.realize(s[:, sl])
+        adj, mats_adj = (np.swapaxes(a, -1, -2).conj() for a in (basis, mats))
+        # one matmul per pattern over all rows and pairs (i, k):
+        # (B_i B_k*) S, S (B_i* B_k) and (B_i S*) B_k
+        left = (basis[:, None] @ adj[None]).reshape(k * k * r, r) \
+            @ mats.transpose(1, 0, 2).reshape(r, n * c)
+        right = mats.reshape(n * r, c) \
+            @ (adj[:, None] @ basis[None]).transpose(2, 0, 1, 3).reshape(c, k * k * c)
+        mid = basis.reshape(k * r, c) @ mats_adj.transpose(1, 0, 2).reshape(c, n * r)
+        mid = mid.reshape(k, r, n, r).transpose(2, 0, 1, 3).reshape(n * k * r, r) \
+            @ basis.transpose(1, 0, 2).reshape(r, k * c)
+        # each pattern laid out (row, i, k, r, c) and projected on its own
+        prods = (left.reshape(k, k, r, n, c).transpose(3, 0, 1, 2, 4),
+                 right.reshape(n, r, k, k, c).transpose(0, 2, 3, 1, 4),
+                 mid.reshape(n, k, r, k, c).transpose(0, 1, 3, 2, 4))
+        for p, prod in enumerate(prods):
+            np.multiply(b.sign, _span_coords(b, prod, DEFAULT_TOL), out=out[p, :, sl, sl, sl])
+    return out.reshape(-1, d * d, d)
 
 
 def triple(m: TernarySpace, x, y, z, tol: float = DEFAULT_TOL) -> TernaryElement:
@@ -536,14 +571,20 @@ def check_axioms(m: TernarySpace, samples: int = 500, seed: int = 0,
     residuals["conjugate_linearity"] = float(
         np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))
 
-    # [[xyz]uv] = [x[uzy]v] = [xy[zuv]]
-    lhs = t(t(xs, ys, zs), us, vs)
+    # [[xyz]uv] = [x[uzy]v] = [xy[zuv]], relative to the sample norms times the
+    # square of the product's size on the samples, max |[xyz]| / (|x| |y| |z|):
+    # both sides are of degree 2 in the product, so the residuals do not change
+    # when the product is rescaled
+    xyz = t(xs, ys, zs)
+    lhs = t(xyz, us, vs)
     mid = t(xs, t(us, zs, ys), vs)
     rgt = t(xs, ys, t(zs, us, vs))
-    scale = np.maximum(1.0, np.prod(
-        [np.linalg.norm(w, axis=1) for w in (xs, ys, zs, us, vs)], axis=0))
-    residuals["assoc_outer"] = float(np.max(np.linalg.norm(lhs - mid, axis=1) / scale))
-    residuals["assoc_inner"] = float(np.max(np.linalg.norm(lhs - rgt, axis=1) / scale))
+    norms = [np.linalg.norm(w, axis=1) for w in (xs, ys, zs, us, vs)]
+    size = float(np.max(np.linalg.norm(xyz, axis=1) / np.prod(norms[:3], axis=0)))
+    scale = np.prod(norms, axis=0) * size ** 2
+    for name, rhs in (("assoc_outer", mid), ("assoc_inner", rgt)):
+        gap = np.linalg.norm(lhs - rhs, axis=1)
+        residuals[name] = float(np.max(gap / scale)) if size > 0 else float(np.max(gap))
 
     if not m.is_block:
         # basis-level sweep is exact and catches single-entry corruption

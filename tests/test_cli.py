@@ -233,3 +233,37 @@ def test_huge_structure_constants_exit_cleanly(tmp_path, capsys):
                  ["quotient", path, "--ideal", ideal]):
         assert cli.main(argv, out=io.StringIO()) in (0, 1, 2), argv
         assert "Traceback" not in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("factor", [1e5, 1e8])
+def test_verify_passes_rescaled_structure_constants(tmp_path, factor):
+    c = tern.structure_constants_of(tern.full_matrix_space(2, 2, +1)).c
+    m = tern.TernarySpace.from_structure(factor * c)
+    path = _write(tmp_path, "scaled.json", cli.to_instance_dict(m, "scaled"))
+    code, rep = _run_json(["verify", path])
+    assert code == 0, rep["details"]["residuals"]
+
+
+def _encode_reference(a):
+    if a.ndim == 0:
+        return [float(np.real(a)), float(np.imag(a))]
+    return [_encode_reference(x) for x in a]
+
+
+def _instance_reference(m, name):
+    if not m.is_block:
+        return {"name": name, "structure_constants": {
+            "dim": m.dim, "c": _encode_reference(m.structure.c)}}
+    return {"name": name, "blocks": [
+        {"sign": b.sign, "rows": b.rows, "cols": b.cols,
+         "basis": [_encode_reference(x) for x in b.basis]} for b in m.blocks]}
+
+
+def test_encode_array_matches_per_entry_reference(catalog):
+    for name, m in catalog:
+        for p in (m, tern.as_structure_space(m)):
+            assert (json.dumps(cli.to_instance_dict(p, name))
+                    == json.dumps(_instance_reference(p, name)))
+    for a in (np.array(1.5 - 2j), np.array(3), np.zeros(0), np.zeros((3, 0)),
+              np.zeros((0, 2, 2), dtype=np.complex128), np.arange(6).reshape(2, 3)):
+        assert json.dumps(cli._encode_array(a)) == json.dumps(_encode_reference(a))

@@ -8,7 +8,12 @@ from conftest import scramble
 from ternlab import embedding as emb
 from ternlab import radical as rad
 from ternlab import ternary as tern
-from ternlab.errors import BorderlineWarning, InvalidInput, PreconditionFailed
+from ternlab.errors import (
+    BorderlineWarning,
+    DecompositionInconclusive,
+    InvalidInput,
+    PreconditionFailed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +322,10 @@ def test_matrix_algebra_matches_loop():
         alg = rad.matrix_algebra(n)
         assert np.array_equal(alg.table, table)
         assert np.array_equal(alg.star, star)
+
+
+def test_structure_envelope_fails_on_overflow():
+    # c = 1e200: the 2-norms of the span check overflow, which must not pass it
+    m = tern.TernarySpace.from_structure(np.full((1, 1, 1, 1), 1e200), validate=False)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DecompositionInconclusive):
+        rad.ternary_radical(m)

@@ -332,3 +332,20 @@ def test_associativity_residual_matches_reference(catalog):
     ref = _assoc_residual_reference(c)
     assert ref > 1e-5
     assert bad.associativity_residual() == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e5, 1e8])
+def test_check_axioms_is_invariant_under_rescaling(factor):
+    # the sampled associativity residuals are of degree 0 in c
+    c = tern.structure_constants_of(tern.full_matrix_space(2, 2, +1)).c
+    rep = tern.check_axioms(tern.TernarySpace.from_structure(factor * c), samples=200, seed=6)
+    assert rep.passed, rep.residuals
+    bad = np.array(c)
+    bad[0, 1, 1, 0] += 0.1
+    base = tern.check_axioms(tern.TernarySpace.from_structure(bad, validate=False),
+                             samples=200, seed=6).residuals
+    rep = tern.check_axioms(tern.TernarySpace.from_structure(factor * bad, validate=False),
+                            samples=200, seed=6)
+    assert rep.residuals["assoc_outer"] > 1e-2
+    for name in ("assoc_outer", "assoc_inner"):
+        assert rep.residuals[name] == pytest.approx(base[name], rel=1e-9)
