@@ -25,7 +25,7 @@ from .errors import (
     PreconditionFailed,
     ShapeError,
 )
-from .ternary import TernarySpace, _triple_coords, as_coords
+from .ternary import TernarySpace, _triple_coords, as_coords, operator_pairs
 
 DEFAULT_TOL = 1e-9
 BORDERLINE_TOL = 1e-6
@@ -325,11 +325,7 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     # right operators: R(b_j, b_k)[l, i] = c[i, j, k, l]
     rten = np.einsum("ijkl->jkli", c)
 
-    def pairs(ten):
-        # (T[i,j], conj(T[j,i])) for every (i, j), as (d, d, 2 d^2)
-        return np.stack([ten, ten.swapaxes(0, 1).conj()], axis=2).reshape(d, d, -1)
-
-    l_pairs, r_pairs = pairs(lten), pairs(rten)
+    l_pairs, r_pairs = operator_pairs(lten), operator_pairs(rten)
     l_basis = mk.colspace(l_pairs.reshape(d * d, -1).T, tol)   # columns: vec(P) ++ vec(Ptilde)
     r_basis = mk.colspace(r_pairs.reshape(d * d, -1).T, tol)
     dk, dr = l_basis.shape[1], r_basis.shape[1]

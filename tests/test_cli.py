@@ -235,13 +235,16 @@ def test_huge_structure_constants_exit_cleanly(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err, argv
 
 
-@pytest.mark.parametrize("factor", [1e5, 1e8])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor", [1e5, 1e8, 1e100, 1e200])
 def test_verify_passes_rescaled_structure_constants(tmp_path, factor):
+    # the sampled identities run on c / |c|max, so no product overflows
     c = tern.structure_constants_of(tern.full_matrix_space(2, 2, +1)).c
     m = tern.TernarySpace.from_structure(factor * c)
     path = _write(tmp_path, "scaled.json", cli.to_instance_dict(m, "scaled"))
     code, rep = _run_json(["verify", path])
     assert code == 0, rep["details"]["residuals"]
+    assert all(np.isfinite(r) for r in rep["details"]["residuals"].values())
 
 
 def _encode_reference(a):
