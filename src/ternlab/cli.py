@@ -187,11 +187,11 @@ def _cmd_embed(m, name, args):
 def _cmd_radical(m, name, args):
     e = emb.build_embedding(m) if m.is_block else None
     alg = rad.assoc_of_embedding(e) if m.is_block else None
-    basis = rad.ternary_radical(m, seed=args.seed, embedding=e, algebra=alg)
+    basis = rad.ternary_radical(m, embedding=e, algebra=alg)
     details = {"radical_dim": int(basis.shape[1]),
                "semisimple": basis.shape[1] == 0}
     if m.is_block:
-        erad = rad.jacobson_radical(alg, seed=args.seed)
+        erad = rad.jacobson_radical(alg)
         details["embedding_radical_dim"] = int(erad.shape[1])
     # valid instances are semisimple; a nonzero radical is a property failure
     return details["semisimple"], details
@@ -204,7 +204,7 @@ def _cmd_quotient(m, name, args):
         data = json.load(fh)
     gens = [_decode_array(g, 1) for g in data["generators"]]
     ideal = idl.generated_ideal(m, gens)
-    q = idl.quotient(m, ideal, seed=args.seed)
+    q = idl.quotient(m, ideal)
     details = {
         "ideal_dim": ideal.dim,
         "quotient_dim": q.dim,
@@ -298,7 +298,7 @@ def _cmd_demo(args, out):
     m = spaces[name]()
     axioms = tern.check_axioms(m, samples=args.samples, seed=args.seed, tol=args.tol)
     split = tern.zettl_decompose(m)
-    radical = rad.ternary_radical(m, seed=args.seed)
+    radical = rad.ternary_radical(m)
     details = {
         "instance": to_instance_dict(m, name),
         "axioms": axioms.to_dict(),

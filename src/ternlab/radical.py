@@ -3,9 +3,10 @@
 The radical of a finite-dimensional associative algebra over the
 complex numbers is computed by the trace-form criterion on the
 unitization (x is radical iff tr(L_{x a}) = 0 for every a, including
-the adjoined unit), then cross-audited by sampled homotope
-quasi-invertibility.  Ternary radicals route through the standard
-embedding and its Peirce corners.
+the adjoined unit), then certified exactly: it is an ideal, its powers
+fall to zero, and the quotient by it has no radical.  Ternary radicals
+are the M-corner of the radical of the standard embedding (or of the
+structure envelope).
 """
 
 from __future__ import annotations
@@ -209,14 +210,14 @@ def quasi_inverse_ternary(m: TernarySpace, x, u, tol: float = DEFAULT_TOL):
 # Radicals
 
 
-def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL,
-                     verify: bool = True, seed: int = 0) -> np.ndarray:
+def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of Rad A by the trace-form criterion.
 
     Over characteristic zero, x is radical iff tr(L_{x b}) vanishes for
-    every b in the unitization.  Nonzero results are audited: two-sided
-    ideal, Rad(A / Rad A) = 0, and sampled homotope quasi-invertibility
-    of every basis element.
+    every b in the unitization.  A nonzero result N is certified exactly
+    (DecompositionInconclusive otherwise): N is a two-sided ideal, its
+    powers fall to zero, so N is nilpotent and lies in Rad A, and
+    Rad(A / N) = 0, so Rad A lies in N.
     """
     d = a.dim
     if d == 0:
@@ -225,25 +226,17 @@ def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL,
     rows = np.einsum("ijk,k->ij", a.table, tau).T     # row j: tr(L_{b_i b_j})
     crit = np.vstack([rows, tau[None, :]])            # extra row: tr(L_{b_i})
     rad = mk.nullspace(crit, tol)
-    if rad.shape[1] == 0 or not verify:
+    if rad.shape[1] == 0:
         return rad
 
     _audit_ideal(a, rad)
+    _certify_nilpotent(a, rad, tol)
     comp = mk.nullspace(rad.conj().T, tol)
     quotient = _quotient_algebra(a, comp)
-    inner = jacobson_radical(quotient, tol, verify=False)
+    inner = jacobson_radical(quotient, tol)
     if inner.shape[1] != 0:
         raise DecompositionInconclusive(
             "radical is not idempotent: quotient still has a radical")
-    rng = np.random.default_rng(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BorderlineWarning)
-        for j in range(rad.shape[1]):
-            for _ in range(50):
-                u = a.random_element(rng)
-                if quasi_inverse_assoc(a, rad[:, j], u, BORDERLINE_TOL) is None:
-                    raise DecompositionInconclusive(
-                        "radical element failed a homotope quasi-inverse audit")
     return rad
 
 
@@ -255,6 +248,31 @@ def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
         if resid > tol:
             raise DecompositionInconclusive(
                 f"computed radical is not an ideal (residual {resid:.2e})")
+
+
+def _certify_nilpotent(a: AssocAlgebra, span: np.ndarray, tol: float):
+    """DecompositionInconclusive unless the ideal N spanned by the
+    orthonormal columns is nilpotent.
+
+    N_1 = N and N_{k+1} = N_k N must lose rank at every step until rank
+    0; N_{k+1} lies in N_k, so an unchanged rank is a fixed point.  Ranks
+    are read on table / |table|max, where products of unit vectors are
+    of order one, so singular values up to tol are rounding at any scale
+    (relative to the largest one, a zero power's rounding would count).
+    """
+    d = a.dim
+    t = (a.table / float(np.abs(a.table).max(initial=0.0) or 1.0)).reshape(d, d * d)
+    power, step = span, 1
+    while power.shape[1]:
+        # [i, j]: the product of power column i and span column j
+        prods = span.T @ (power.T @ t).reshape(-1, d, d)
+        u, s, _ = np.linalg.svd(prods.reshape(-1, d).T, full_matrices=False)
+        nxt = u[:, :int(np.sum(s > tol))]
+        if nxt.shape[1] >= power.shape[1]:
+            raise DecompositionInconclusive(
+                f"computed radical is not nilpotent: the rank of its power "
+                f"stalls at {power.shape[1]} after step {step}")
+        power, step = nxt, step + 1
 
 
 def _quotient_algebra(a: AssocAlgebra, comp: np.ndarray) -> AssocAlgebra:
@@ -270,15 +288,18 @@ def _quotient_algebra(a: AssocAlgebra, comp: np.ndarray) -> AssocAlgebra:
 
 
 def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
-                    seed: int = 0, embedding: StandardEmbedding = None,
+                    embedding: StandardEmbedding = None,
                     algebra: AssocAlgebra = None) -> np.ndarray:
     """Basis (columns, base coordinates) of the radical of a ternary ring.
 
     Computed as Rad A(M) ∩ M via the Peirce corner of the embedding;
     structure presentations route through the abstract envelope built
-    from the structure constants.  Every returned element is audited by
-    sampled ternary homotope checks.  A block space's embedding and its
-    algebra are built unless given.
+    from the structure constants.  The corner needs no audit of its
+    own: for x in Rad A ∩ M every x ū lies in the certified Rad A, so it
+    is quasi-invertible, and by the corner equivalence (see
+    ``check_corner_qi_equivalence``) x is ternary quasi-invertible in
+    every homotope.  A block space's embedding and its algebra are built
+    unless given.
     """
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
@@ -288,21 +309,8 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
         m_idx = e.corner_indices["M"]
     else:
         alg, m_idx = structure_envelope(m, tol)
-    rad = jacobson_radical(alg, tol, verify=False, seed=seed)
-    corner = _slice_intersection(rad, m_idx)[m_idx]
-    if corner.shape[1] == 0:
-        return np.zeros((m.dim, 0), dtype=np.complex128)
-    basis = mk.colspace(corner)
-    rng = np.random.default_rng(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BorderlineWarning)
-        for j in range(basis.shape[1]):
-            for _ in range(50):
-                u = m.random_element(rng).coords
-                if quasi_inverse_ternary(m, basis[:, j], u, BORDERLINE_TOL) is None:
-                    raise DecompositionInconclusive(
-                        "radical element failed a ternary homotope audit")
-    return basis
+    rad = jacobson_radical(alg, tol)
+    return mk.colspace(_slice_intersection(rad, m_idx)[m_idx])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ abstractly by a structure-constants tensor that is conjugate-linear in
 the middle slot.  Block presentations carry operator norms; structure
 presentations support only the algebraic operations.
 
-All values are immutable and all operations are pure; randomized checks
-take explicit seeds.
+All values are immutable and all operations are pure; the one sampled
+check, ``check_axioms``, takes an explicit seed.
 """
 
 from __future__ import annotations

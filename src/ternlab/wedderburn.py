@@ -69,7 +69,7 @@ def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0,
     if n < 1 or d != n * n:
         raise PreconditionFailed(f"source algebra has dim {d}, not that of M_{n} "
                                  f"({n * n}); it must be a full matrix algebra")
-    rad = jacobson_radical(a, verify=False)
+    rad = jacobson_radical(a)
     if rad.shape[1] != 0:
         raise PreconditionFailed(f"source algebra has a {rad.shape[1]}-dim radical")
     right = a.right_op(a.random_element(np.random.default_rng(seed)))

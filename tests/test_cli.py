@@ -210,6 +210,28 @@ def test_decompose_structure_input_ignores_seed(tmp_path, catalog):
         assert reps[0][key] == reps[1][key]
 
 
+def _radical_file(tmp_path):
+    c = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    c[0, 0, 0, 0] = 1.0                 # Rad = span{b_1}
+    return _write(tmp_path, "rad.json", cli.to_instance_dict(
+        tern.TernarySpace.from_structure(c), "rad"))
+
+
+def test_radical_reports_nonzero_radical(tmp_path):
+    code, rep = _run_json(["radical", _radical_file(tmp_path)])
+    assert code == 1
+    assert rep["details"] == {"radical_dim": 1, "semisimple": False}
+
+
+def test_radical_and_quotient_ignore_seed(tmp_path, mixed_file):
+    ideal = _write(tmp_path, "ideal.json", {"generators": [[[0, 0]] * 4 + [[1, 0]]]})
+    for argv in (["radical", mixed_file], ["radical", _radical_file(tmp_path)],
+                 ["quotient", mixed_file, "--ideal", ideal]):
+        reps = [_run_json(argv + ["--seed", seed]) for seed in ("0", "7")]
+        assert reps[0][0] == reps[1][0], argv
+        assert reps[0][1]["details"] == reps[1][1]["details"], argv
+
+
 def test_seed_env_fallback(mixed_file, monkeypatch):
     monkeypatch.setenv("TERNLAB_SEED", "11")
     code, rep = _run_json(["decompose", mixed_file])

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import scramble
 from ternlab import embedding as emb
+from ternlab import matkernel as mk
 from ternlab import radical as rad
 from ternlab import ternary as tern
 from ternlab.errors import (
@@ -86,6 +87,108 @@ def test_jacobson_radical_upper_triangular():
     basis = rad.jacobson_radical(alg)
     assert basis.shape[1] == 1
     assert np.allclose(np.abs(basis[:, 0]), [0, 1, 0])
+
+
+def _upper_triangular(n):
+    """T_n, the upper-triangular n x n matrices on the basis E_ij, i <= j;
+    also the coordinates of its strictly upper part, the radical."""
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {p: k for k, p in enumerate(idx)}
+    t = np.zeros((len(idx),) * 3, dtype=np.complex128)
+    for (i, j), a in pos.items():
+        for k in range(j, n):
+            t[a, pos[j, k], pos[i, k]] = 1.0        # E_ij E_jk = E_ik
+    return rad.AssocAlgebra(table=t), [pos[i, j] for i, j in idx if i < j]
+
+
+def _rotated(cols, rng):
+    # an orthonormal basis of the same span whose products carry rounding noise
+    r = cols.shape[1]
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    return cols @ q
+
+
+@pytest.mark.parametrize("factor", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_nilpotency_chain_accepts_strictly_upper(factor):
+    rng = np.random.default_rng(17)
+    for n, dim in ((4, 6), (6, 15), (8, 28)):
+        alg, strict = _upper_triangular(n)
+        assert len(strict) == dim
+        scaled = rad.AssocAlgebra(table=factor * alg.table)
+        exact = np.eye(alg.dim, dtype=np.complex128)[:, strict]
+        rad._certify_nilpotent(scaled, exact, 1e-9)
+        rad._certify_nilpotent(scaled, _rotated(exact, rng), 1e-9)
+
+
+def _scalar_plus_strict_t3():
+    # C e (e e = e) beside span{x, y, z} with x y = z: the powers of the whole
+    # algebra are span{e, z}, then span{e}, which stays
+    t = np.zeros((4, 4, 4), dtype=np.complex128)
+    t[0, 0, 0] = t[1, 2, 3] = 1.0
+    return rad.AssocAlgebra(table=t)
+
+
+@pytest.mark.parametrize("factor", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_nilpotency_chain_rejects_non_nilpotent_ideals(factor):
+    rng = np.random.default_rng(18)
+    cases = [(rad.matrix_algebra(2), "stalls at 4 after step 1"),
+             (_upper_triangular(4)[0], "stalls at 10 after step 1"),
+             (_scalar_plus_strict_t3(), "stalls at 1 after step 3")]
+    for alg, message in cases:
+        scaled = rad.AssocAlgebra(table=factor * alg.table)
+        whole = np.eye(alg.dim, dtype=np.complex128)
+        for basis in (whole, _rotated(whole, rng)):
+            with pytest.raises(DecompositionInconclusive, match=message):
+                rad._certify_nilpotent(scaled, basis, 1e-9)
+
+
+def test_jacobson_radical_certifies_the_trace_form():
+    # M_3 beside C with e e = 1e-8 e is semisimple, but the trace form of e
+    # falls below tol against the M_3 traces, so the criterion alone calls e
+    # radical; its powers never vanish
+    t = np.zeros((10, 10, 10), dtype=np.complex128)
+    t[:9, :9, :9] = rad.matrix_algebra(3).table
+    t[9, 9, 9] = 1e-8
+    with pytest.raises(DecompositionInconclusive, match="stalls at 1 after step 1"):
+        rad.jacobson_radical(rad.AssocAlgebra(table=t))
+
+
+def test_jacobson_radical_is_invariant_under_rescaling():
+    for n, dim in ((4, 6), (8, 28)):
+        alg, strict = _upper_triangular(n)
+        for factor in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            basis = rad.jacobson_radical(rad.AssocAlgebra(table=factor * alg.table))
+            assert basis.shape[1] == dim, (n, factor)
+            assert np.abs(np.delete(basis, strict, axis=0)).max() <= 1e-12
+
+
+def _nonzero_ternary_radicals():
+    # c[0, 0, 0, 0] = 1 leaves b_1 outside every product: Rad = span{b_1};
+    # the zero ring is its own radical
+    c = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    c[0, 0, 0, 0] = 1.0
+    return [(tern.TernarySpace.from_structure(c), np.array([[0.0], [1.0]])),
+            (tern.TernarySpace.from_structure(np.zeros((3,) * 4)), np.eye(3))]
+
+
+def test_nonzero_ternary_radicals():
+    for m, want in _nonzero_ternary_radicals():
+        basis = rad.ternary_radical(m)
+        assert basis.shape == want.shape
+        assert mk.subspace_distance(basis, want) <= 1e-12
+
+
+def test_radicals_solve_no_quasi_inverses(monkeypatch, catalog):
+    def boom(*args, **kwargs):
+        raise AssertionError("radicals are certified without quasi-inverse solves")
+
+    monkeypatch.setattr(rad, "quasi_inverse_assoc", boom)
+    monkeypatch.setattr(rad, "quasi_inverse_ternary", boom)
+    monkeypatch.setattr(np.random, "default_rng", boom)
+    assert rad.jacobson_radical(_upper_triangular(4)[0]).shape[1] == 6
+    for m, want in _nonzero_ternary_radicals():
+        assert rad.ternary_radical(m).shape[1] == want.shape[1]
+    assert rad.ternary_radical(dict(catalog)["mix-full-scalar"]).shape[1] == 0
 
 
 def test_radical_of_embeddings_vanishes(catalog):
