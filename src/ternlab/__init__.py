@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     TernlabError,
 )
-from .matkernel import CMatrix, HermEigResult, herm_eig, hs_inner, op_norm, solve_linear
+from .matkernel import op_norm, solve_linear
 from .ternary import (
     AxiomReport,
     SignedBlock,
@@ -43,7 +43,6 @@ from .ternary import (
 )
 from .embedding import (
     BoundsReport,
-    EmbeddingElement,
     PeirceCorners,
     PiOperator,
     StandardEmbedding,

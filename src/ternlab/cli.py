@@ -51,7 +51,10 @@ def _encode_array(a: np.ndarray):
 
 
 def _decode_array(data, depth: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, OverflowError) as exc:  # an object, or an integer past double range
+        raise ValueError(f"expected numbers in [re, im] pairs ({exc})") from None
     if arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise ValueError(f"expected nesting depth {depth} of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -103,7 +106,12 @@ def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
             basis = tuple(_decode_array(mat, 2)
                           for mat in _typed(entry["basis"], list, "'basis'"))
             blocks.append(tern.SignedBlock(sign, rows, cols, basis))
-        return name, tern.TernarySpace.from_blocks(blocks, validate=validate)
+        space = tern.TernarySpace.from_blocks(blocks, validate=validate)
+        if not validate:
+            # verify reports a span that is not closed; a dependent basis presents nothing
+            for b in space.blocks:
+                b.check_independent()
+        return name, space
     sc = _typed(data["structure_constants"], dict, "'structure_constants'")
     c = _decode_array(sc["c"], 4)
     if c.shape != (_int(sc["dim"], "'dim'"),) * 4:
@@ -202,7 +210,8 @@ def _cmd_quotient(m, name, args):
         raise ValueError("quotient needs --ideal <file> with generator coordinates")
     with open(args.ideal, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    gens = [_decode_array(g, 1) for g in data["generators"]]
+    _typed(data, dict, "the ideal file")
+    gens = [_decode_array(g, 1) for g in _typed(data.get("generators"), list, "'generators'")]
     ideal = idl.generated_ideal(m, gens)
     q = idl.quotient(m, ideal)
     details = {
@@ -323,6 +332,20 @@ COMMANDS = {
 }
 
 
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--samples must be at least 1, got {text}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"--tol must be finite and positive, got {text}")
+    return tol
+
+
 @functools.cache  # parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -336,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="instance JSON file")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $TERNLAB_SEED or 0)")
-        p.add_argument("--samples", type=int, default=500)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--samples", type=_sample_count, default=500)
+        p.add_argument("--tol", type=_tolerance, default=1e-8)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     for name in ("verify", "decompose", "embed", "radical", "wedderburn"):

@@ -38,9 +38,15 @@ from .errors import (
     DecompositionInconclusive,
     InvalidInput,
     NotAnIdeal,
-    ShapeError,
 )
-from .ternary import TernarySpace, _ideal_products, as_coords
+from .ternary import (
+    TernaryElement,
+    TernarySpace,
+    _block_slices,
+    _ideal_products,
+    as_coords,
+    random_coords,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -166,20 +172,6 @@ def _split_checked(b: BlockEmbedding, big, tol):
 
 
 @dataclass(frozen=True)
-class EmbeddingElement:
-    """Coordinates of an element of a StandardEmbedding."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coords, dtype=np.complex128).ravel()
-        if v.size and not np.all(np.isfinite(v)):
-            raise InvalidInput("element has non-finite coordinates")
-        v.flags.writeable = False
-        object.__setattr__(self, "coords", v)
-
-
-@dataclass(frozen=True)
 class StandardEmbedding:
     """The linking (+) / twisted (-) algebra containing a block space."""
 
@@ -190,13 +182,7 @@ class StandardEmbedding:
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    @cached_property
-    def block_slices(self) -> tuple:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b.dim))
-            start += b.dim
-        return tuple(out)
+    block_slices = cached_property(_block_slices)
 
     @cached_property
     def corner_indices(self) -> dict:
@@ -208,38 +194,27 @@ class StandardEmbedding:
 
     # -- elements ----------------------------------------------------------
 
-    def element(self, coords) -> EmbeddingElement:
-        e = EmbeddingElement(np.asarray(coords, dtype=np.complex128))
-        if e.coords.shape != (self.dim,):
-            raise ShapeError(f"element has {e.coords.shape[0]} coordinates, "
-                             f"algebra has dim {self.dim}")
-        return e
+    def random_element(self, rng) -> TernaryElement:
+        return TernaryElement(random_coords(rng, self.dim))
 
-    def zero(self) -> EmbeddingElement:
-        return EmbeddingElement(np.zeros(self.dim, dtype=np.complex128))
-
-    def random_element(self, rng, scale=1.0) -> EmbeddingElement:
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return EmbeddingElement(scale * v / np.sqrt(2.0))
-
-    def from_corners(self, la=None, ma=None, wa=None, ra=None) -> EmbeddingElement:
+    def from_corners(self, la=None, ma=None, wa=None, ra=None) -> TernaryElement:
         v = np.zeros(self.dim, dtype=np.complex128)
         for name, val in zip(CORNERS, (la, ma, wa, ra)):
             if val is not None:
                 v[self.corner_indices[name]] = np.asarray(val, dtype=np.complex128)
-        return EmbeddingElement(v)
+        return TernaryElement(v)
 
-    def embed_base(self, x) -> EmbeddingElement:
+    def embed_base(self, x) -> TernaryElement:
         """Place a base element in the upper-right corner."""
         return self.from_corners(ma=as_coords(self.base, x))
 
-    def embed_base_conj(self, u) -> EmbeddingElement:
+    def embed_base_conj(self, u) -> TernaryElement:
         """Place the bar of a base element in the lower-left corner."""
         return self.from_corners(wa=as_coords(self.base, u).conj())
 
     def materialize(self, x) -> list:
         """Per-block big matrices of an element (or coordinate batch)."""
-        coords = x.coords if isinstance(x, EmbeddingElement) else np.asarray(x)
+        coords = x.coords if isinstance(x, TernaryElement) else np.asarray(x)
         return [b.materialize(coords[..., s]) for b, s in zip(self.blocks, self.block_slices)]
 
     def _split(self, mats, tol):
@@ -311,26 +286,21 @@ def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedd
     return StandardEmbedding(base=m, blocks=tuple(blocks))
 
 
-def emb_mul(e: StandardEmbedding, a, b, tol: float = DEFAULT_TOL) -> EmbeddingElement:
+def emb_mul(e: StandardEmbedding, a, b, tol: float = DEFAULT_TOL) -> TernaryElement:
     """Algebra product: linking on +1 blocks, twisted on -1 blocks."""
-    ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
-    cb = b.coords if isinstance(b, EmbeddingElement) else np.asarray(b, dtype=np.complex128)
-    if ca.shape != (e.dim,) or cb.shape != (e.dim,):
-        raise ShapeError("operands do not match the embedding dimension")
-    return EmbeddingElement(e.mul_coords(ca, cb, tol))
+    return TernaryElement(e.mul_coords(as_coords(e, a), as_coords(e, b), tol))
 
 
-def emb_star(e: StandardEmbedding, a) -> EmbeddingElement:
+def emb_star(e: StandardEmbedding, a) -> TernaryElement:
     """Involution a*: conjugate-linear, involutive, anti-multiplicative."""
-    ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
-    return EmbeddingElement(e.star_coords(ca))
+    return TernaryElement(e.star_coords(as_coords(e, a)))
 
 
-def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> EmbeddingElement:
+def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> TernaryElement:
     """The exact unit: diagonal support projections, negated on -1 blocks."""
     chunks = [b.split(b.sign * b.unit)[0] for b in e.blocks]
-    unit = EmbeddingElement(np.concatenate(chunks) if chunks
-                            else np.zeros(0, dtype=np.complex128))
+    unit = TernaryElement(np.concatenate(chunks) if chunks
+                          else np.zeros(0, dtype=np.complex128))
     eye = np.eye(e.dim, dtype=np.complex128)
     left = unit.coords @ e.table.swapaxes(0, 1)    # row j: u e_j
     right = unit.coords @ e.table                  # row i: e_i u
@@ -366,7 +336,7 @@ def _pi_table(e: StandardEmbedding) -> np.ndarray:
 def pi_represent(e: StandardEmbedding, a) -> PiOperator:
     """Left action of ``a`` on the M ⊕ R column, as a matrix; coordinates
     with leading batch axes give a matching batch of matrices."""
-    ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
+    ca = a.coords if isinstance(a, TernaryElement) else np.asarray(a, dtype=np.complex128)
     t = _pi_table(e)
     n = t.shape[1]
     mat = (ca @ t.reshape(e.dim, n * n)).reshape(ca.shape[:-1] + (n, n)).swapaxes(-1, -2)
@@ -412,18 +382,16 @@ class BoundsReport:
         }
 
 
-def pi_norm_lower_bounds(e: StandardEmbedding, a, seed: int = 0,
-                         n_random: int = 16, tol: float = 1e-8) -> BoundsReport:
+def pi_norm_lower_bounds(e: StandardEmbedding, a, tol: float = 1e-8) -> BoundsReport:
     """Certify est(||pi(a)||) >= max(||A||, ||B||, ||f||, ||g||) - tol.
 
     The estimate is a supremum of ||pi(a) v|| / ||v|| over structured
-    witnesses (the unit of R, the normalized g, top-eigenspace images
-    for the alpha corner) plus random vectors.  Only lower bounds are
+    witnesses only: on each block the unit of R, the normalized g and a
+    top-eigenspace image for the alpha corner.  Only lower bounds are
     certified; the exact Banach norm is never computed.
     """
-    ca = a.coords if isinstance(a, EmbeddingElement) else np.asarray(a, dtype=np.complex128)
+    ca = as_coords(e, a)
     idx = np.concatenate([e.corner_indices["M"], e.corner_indices["R"]])
-    rng = np.random.default_rng(seed)
     pi_a = pi_represent(e, ca)
 
     def witness(s, b, big):
@@ -473,9 +441,6 @@ def pi_norm_lower_bounds(e: StandardEmbedding, a, seed: int = 0,
                 wit, resid = witness(s, b, wit)
                 if resid <= 1e-8 * max(1.0, 1.0 / best_norm):
                     witnesses.append(wit)
-
-    for _ in range(n_random):
-        witnesses.append(rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size))
 
     est = 0.0
     for wit in witnesses:
@@ -607,7 +572,7 @@ def cstar_identity_witness(e: StandardEmbedding):
             f"partial isometry escapes its corner span (residual {resid:.2e})")
     v /= e.norm(v)
     gap = abs(e.norm(e.mul_coords(e.star_coords(v), v)) - e.norm(v) ** 2)
-    return EmbeddingElement(v), float(gap)
+    return TernaryElement(v), float(gap)
 
 
 def cstar_identity_residual(e: StandardEmbedding, samples: int = 200,

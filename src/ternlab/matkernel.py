@@ -3,8 +3,8 @@ sparse path of the exact basis sweeps.
 
 Matrices are plain ``numpy.ndarray`` values with dtype ``complex128`` in
 row-major order; this module pins down the numeric contracts (operator
-norms, the Hilbert-Schmidt form, Hermitian spectra, residual-tested
-linear solves) without any algebraic semantics on top.
+norms, residual-tested linear solves, subspaces) without any algebraic
+semantics on top.
 
 Default tolerances are 1e-9 relative and can be overridden per call;
 dimensions are expected to stay in the dozens, so double precision is
@@ -13,17 +13,11 @@ ample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidInput, NotHermitian, ShapeError
+from .errors import InvalidInput, ShapeError
 
 DEFAULT_TOL = 1e-9
-
-#: A complex matrix is just a 2-D complex128 ndarray; ``as_cmatrix``
-#: is the validating coercion used at API boundaries.
-CMatrix = np.ndarray
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -39,51 +33,21 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
+def unit_scale(a) -> float:
+    """Largest entry modulus of ``a``, or 1.0 when ``a`` is zero.
+
+    A gate judged on ``a / unit_scale(a)`` does not depend on the scale of
+    the data, and zero data stays zero.
+    """
+    return float(np.abs(a).max(initial=0.0)) or 1.0
+
+
 def op_norm(a) -> float:
     """Operator norm (largest singular value) of a complex matrix."""
     m = as_cmatrix(a)
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``tr(B* A)``.
-
-    Linear in the first argument, conjugate-linear in the second.
-    """
-    ma, mb = as_cmatrix(a), as_cmatrix(b)
-    if ma.shape != mb.shape:
-        raise ShapeError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return complex(np.vdot(mb, ma))
-
-
-@dataclass(frozen=True)
-class HermEigResult:
-    """Spectral data of a Hermitian matrix.
-
-    ``eigenvalues`` ascend; ``eigenvectors`` holds the matching
-    orthonormal columns, so ``H = V diag(w) V*`` up to 1e-10 relative.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(h, tol: float = DEFAULT_TOL) -> HermEigResult:
-    """Eigendecomposition of a Hermitian matrix, with residual guards."""
-    m = as_cmatrix(h)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"matrix is not square: {m.shape}")
-    scale = op_norm(m)
-    if op_norm(m - m.conj().T) > tol * max(scale, 1e-300) and scale > 0:
-        raise NotHermitian("matrix deviates from Hermitian beyond tolerance")
-    sym = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    recon = v @ np.diag(w) @ v.conj().T
-    if scale > 0 and op_norm(m - recon) > 1e-10 * scale:
-        raise NotHermitian("reconstruction residual exceeds contract")
-    return HermEigResult(eigenvalues=w, eigenvectors=v)
 
 
 def solve_linear(a, b, tol: float = DEFAULT_TOL):
@@ -130,14 +94,6 @@ def nullspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.eye(m.shape[1], dtype=np.complex128)
     rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T
-
-
-def subspace_union(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
-    if a.shape[1] == 0:
-        return colspace(b, tol)
-    if b.shape[1] == 0:
-        return colspace(a, tol)
-    return colspace(np.hstack([a, b]), tol)
 
 
 def subspace_intersect(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:

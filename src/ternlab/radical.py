@@ -26,7 +26,7 @@ from .errors import (
     PreconditionFailed,
     ShapeError,
 )
-from .ternary import TernarySpace, _triple_coords, as_coords, operator_pairs
+from .ternary import TernarySpace, _triple_coords, as_coords, operator_pairs, random_coords
 
 DEFAULT_TOL = 1e-9
 BORDERLINE_TOL = 1e-6
@@ -64,11 +64,11 @@ class AssocAlgebra:
     def associativity_residual(self) -> float:
         """Worst basis-level residual of (b_i b_j) b_k = b_i (b_j b_k).
 
-        Relative to max(1, |table|max^2): the residual is homogeneous of
-        degree 2, so the sweep runs on table / max(1, |table|max).
+        Relative to |table|max^2 (0 for a zero table): the residual is
+        homogeneous of degree 2, so the sweep runs on table / |table|max.
         """
         d = self.dim
-        t = self.table / max(1.0, float(np.abs(self.table).max(initial=0.0)))
+        t = self.table / mk.unit_scale(self.table)
         sweep = ("ijm,mkl->ijkl", ("jkm,iml->ijkl",))
         if mk.sparse_pays(t, *sweep):
             return mk.sparse_gap(t, *sweep)
@@ -121,9 +121,8 @@ class AssocAlgebra:
         x = mk.solve_linear(lhs, rhs, tol)
         return x
 
-    def random_element(self, rng, scale=1.0):
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return scale * v / np.sqrt(2.0)
+    def random_element(self, rng) -> np.ndarray:
+        return random_coords(rng, self.dim)
 
 
 def assoc_of_embedding(e: StandardEmbedding, tol: float = DEFAULT_TOL) -> AssocAlgebra:
@@ -261,7 +260,7 @@ def _certify_nilpotent(a: AssocAlgebra, span: np.ndarray, tol: float):
     (relative to the largest one, a zero power's rounding would count).
     """
     d = a.dim
-    t = (a.table / float(np.abs(a.table).max(initial=0.0) or 1.0)).reshape(d, d * d)
+    t = (a.table / mk.unit_scale(a.table)).reshape(d, d * d)
     power, step = span, 1
     while power.shape[1]:
         # [i, j]: the product of power column i and span column j
@@ -437,14 +436,14 @@ def check_shifting_principle(a: AssocAlgebra, phi, psi, x, y,
 
 
 def _validate_shifting_maps(a: AssocAlgebra, phi, psi, tol):
-    t, d = a.table, a.dim
-    scale = max(1.0, float(np.abs(t).max(initial=0.0)) ** 2)
+    # both sides are of degree 2 in the table: compare them on table / |table|max
+    t, d = a.table / mk.unit_scale(a.table), a.dim
     for f, g in ((phi, psi), (psi, phi)):
         # f(b_i) b_j f(b_k)  vs  f(b_i g(b_j) b_k), both laid out as (i, j, k, l):
         # (f(b_i) b_j)_m times (b_m f(b_k))_l, and (b_i g(b_j))_m times f(b_m b_k)_l
         lhs = (f.T @ t.reshape(d, d * d)).reshape(d * d, d) @ (f.T @ t).reshape(d, d * d)
         rhs = (g.T @ t).reshape(d * d, d) @ (t @ f.T).reshape(d, d * d)
-        resid = float(np.abs(lhs - rhs).max(initial=0.0)) / scale
+        resid = float(np.abs(lhs - rhs).max(initial=0.0))
         if resid > tol:
             raise PreconditionFailed(
                 f"compression maps fail the shifting identities "

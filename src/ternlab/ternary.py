@@ -165,16 +165,21 @@ class SignedBlock:
         return coords.reshape(shape), float(resid.max()) if resid.size else 0.0
 
     def closure_residual(self) -> float:
-        """Worst relative distance of a basis triple product from the span."""
+        """Worst distance of a basis triple product from the span, relative
+        to the largest entry of those products: of degree 0 in the basis."""
         prods = _basis_triples(self.stack)
         _, resid = self.project(prods.reshape(-1, self.rows, self.cols))
-        return resid / max(1.0, float(np.abs(prods).max(initial=0.0)))
+        return resid / mk.unit_scale(prods)
 
-    def validate(self, tol: float = DEFAULT_TOL):
+    def check_independent(self, tol: float = DEFAULT_TOL):
+        """InvalidInput unless the basis is linearly independent."""
         s = np.linalg.svd(self.flat, compute_uv=False)
         if s[-1] <= tol * s[0]:
             raise InvalidInput("block basis is not linearly independent "
                                f"(Gram condition {s[-1] / s[0]:.2e})")
+
+    def validate(self, tol: float = DEFAULT_TOL):
+        self.check_independent(tol)
         resid = self.closure_residual()
         if resid > tol:
             raise InvalidInput(f"block span is not product-closed "
@@ -217,15 +222,15 @@ class StructureConstants:
     def associativity_residual(self) -> float:
         """Worst basis-level residual of the two associativity identities.
 
-        Relative to max(1, |c|max^2), without squaring |c|max: the residual is
-        homogeneous of degree 2 in c, so the sparse path sweeps
-        c / max(1, |c|max) and the dense one scales one factor of each product
-        by 1 / max(1, |c|max)^2.
+        Relative to |c|max^2 (0 for c = 0), without squaring |c|max: the
+        residual is homogeneous of degree 2 in c, so the sparse path sweeps
+        c / |c|max and the dense one scales one factor of each product by
+        1 / |c|max^2.
         """
         c, d = self.c, self.dim
         if d == 0:
             return 0.0
-        scale = max(1.0, float(np.abs(c).max()))
+        scale = mk.unit_scale(c)
         if mk.sparse_pays(c, *_ASSOC_SWEEP):
             return mk.sparse_gap(c / scale, *_ASSOC_SWEEP)
         worst = 0.0
@@ -258,7 +263,7 @@ class StructureConstants:
     def associativity_bound(self, stop: float = np.inf) -> float:
         """Upper bound on ``associativity_residual()`` in O(r d^5), not O(d^7).
 
-        On t = c / max(1, |c|max) the two identities are linear maps of the
+        On t = c / |c|max the two identities are linear maps of the
         operators: for fixed (x, y), [[xyz]uv] - [xy[zuv]] is
         Phi(X) = X t[m,u,v,l] - t[z,u,v,m] X at X = t[x,y], and for fixed (y, z),
         [[xyz]uv] - [x[uzy]v] is Psi(A, B) = A t[m,u,v,l] - B t[x,m,v,l] at the
@@ -272,7 +277,7 @@ class StructureConstants:
         c, d = self.c, self.dim
         if d == 0:
             return 0.0
-        t = c / max(1.0, float(np.abs(c).max()))
+        t = c / mk.unit_scale(c)
         sq = t.real ** 2 + t.imag ** 2
         # column-norm maxima of t along axes 0, 1 and 3
         n0, n1, n3 = (float(np.sqrt(sq.sum(axis=ax)).max()) for ax in (0, 1, 3))
@@ -336,11 +341,34 @@ class TernaryElement:
         object.__setattr__(self, "coords", v)
 
 
-def as_coords(m: "TernarySpace", x) -> np.ndarray:
-    v = x.coords if isinstance(x, TernaryElement) else np.asarray(x, dtype=np.complex128).ravel()
+def as_coords(m, x) -> np.ndarray:
+    """Coordinates of an element or coordinate vector x of a space or
+    algebra m, checked against ``m.dim``; raw coordinates must be finite."""
+    if isinstance(x, TernaryElement):
+        v = x.coords
+    else:
+        v = np.asarray(x, dtype=np.complex128).ravel()
+        if not np.all(np.isfinite(v)):
+            raise InvalidInput("element has non-finite coordinates")
     if v.shape != (m.dim,):
         raise ShapeError(f"element has {v.shape[0]} coordinates, space has dim {m.dim}")
     return v
+
+
+def random_coords(rng, dim: int) -> np.ndarray:
+    """Standard complex Gaussian coordinates, the draws of every ``random_element``."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.sqrt(2.0)
+
+
+def _block_slices(m) -> tuple:
+    """Coordinate slices of the blocks of m, in order; a cached property of
+    every block-presented type."""
+    out, start = [], 0
+    for b in m.blocks:
+        out.append(slice(start, start + b.dim))
+        start += b.dim
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -386,13 +414,7 @@ class TernarySpace:
             return sum(b.dim for b in self.blocks)
         return self.structure.dim
 
-    @cached_property
-    def block_slices(self) -> tuple:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b.dim))
-            start += b.dim
-        return tuple(out)
+    block_slices = cached_property(_block_slices)
 
     def _need_blocks(self, what: str):
         if not self.is_block:
@@ -401,22 +423,8 @@ class TernarySpace:
 
     # -- elements ----------------------------------------------------------
 
-    def element(self, coords) -> TernaryElement:
-        e = TernaryElement(np.asarray(coords, dtype=np.complex128))
-        as_coords(self, e)
-        return e
-
-    def zero(self) -> TernaryElement:
-        return TernaryElement(np.zeros(self.dim, dtype=np.complex128))
-
-    def basis_element(self, i: int) -> TernaryElement:
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[i] = 1.0
-        return TernaryElement(v)
-
-    def random_element(self, rng, scale: float = 1.0) -> TernaryElement:
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return TernaryElement(scale * v / np.sqrt(2.0))
+    def random_element(self, rng) -> TernaryElement:
+        return TernaryElement(random_coords(rng, self.dim))
 
     def realize(self, x) -> list:
         """Per-block matrices of an element (block presentation only)."""
@@ -623,7 +631,7 @@ def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL) -> TernaryS
         raise InvalidInput("generators span the zero space")
     while True:
         prods = _basis_triples(span.T.reshape(-1, rows, cols)).reshape(-1, rows * cols)
-        new_span = mk.subspace_union(span, prods.T, tol)
+        new_span = mk.colspace(np.hstack([span, prods.T]), tol)
         if new_span.shape[1] in (span.shape[1], rows * cols):
             basis = tuple(new_span.T.reshape(-1, rows, cols))
             return TernarySpace.from_blocks(

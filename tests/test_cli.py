@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ def test_wrong_json_types_exit_2(tmp_path, payload):
     for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],
                  ["quotient", "--ideal", bad]):
         assert cli.main(argv[:1] + [bad] + argv[1:]) == 2, argv
+
+
+@pytest.mark.parametrize("ideal", [
+    [1, 2],
+    {"generators": [[[math.inf, 0.0]] + [[0.0, 0.0]] * 4]},
+    {"generators": {"0": [[1.0, 0.0]] * 5}},
+], ids=["list", "infinite-entry", "generators-object"])
+def test_malformed_ideal_files_exit_2(tmp_path, mixed_file, ideal, capsys):
+    path = _write(tmp_path, "ideal.json", ideal)
+    assert cli.main(["quotient", mixed_file, "--ideal", path]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    "--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-8", "--samples=0", "--samples=-3",
+])
+def test_bad_numeric_options_exit_2(mixed_file, option, capsys):
+    assert cli.main(["verify", mixed_file, option]) == 2
+    assert f"{option.split('=')[0]} must be" in capsys.readouterr().err
+
+
+def test_dependent_basis_exits_2_under_every_command(tmp_path):
+    row = [[[1.0, 0.0], [0.0, 0.0]]]
+    path = _write(tmp_path, "dependent.json", {"name": "dependent", "blocks": [
+        {"sign": 1, "rows": 1, "cols": 2, "basis": [row, [[[2.0, 0.0], [0.0, 0.0]]]]}]})
+    ideal = _write(tmp_path, "ideal.json", {"generators": [[[1.0, 0.0], [0.0, 0.0]]]})
+    for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],
+                 ["quotient", "--ideal", ideal]):
+        assert cli.main(argv[:1] + [path] + argv[1:]) == 2, argv
 
 
 def test_reports_deterministic_under_seed(mixed_file):

@@ -272,7 +272,7 @@ def test_pi_bounds_random(catalog):
         e = emb.build_embedding(m)
         for k in range(5):
             a = e.random_element(rng)
-            rep = emb.pi_norm_lower_bounds(e, a, seed=k)
+            rep = emb.pi_norm_lower_bounds(e, a)
             assert rep.ok, rep.to_dict()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ternlab import matkernel as mk
-from ternlab.errors import InvalidInput, NotHermitian, ShapeError
+from ternlab.errors import InvalidInput
 
 SQRT2 = 1.4142135623730951  # singular value of [[1,1],[0,0]], rank one
 
@@ -21,55 +21,6 @@ def test_op_norm_rejects_nonfinite():
         mk.op_norm([[np.nan, 0], [0, 1]])
     with pytest.raises(InvalidInput):
         mk.op_norm([1, 2, 3])
-
-
-def test_hs_inner_examples():
-    assert mk.hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-    e11 = np.diag([1.0, 0.0])
-    e22 = np.diag([0.0, 1.0])
-    assert mk.hs_inner(e11, e22) == 0.0
-    assert mk.hs_inner([[1, 1], [0, 0]], [[1, 0], [0, 0]]) == pytest.approx(1.0)
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(ShapeError):
-        mk.hs_inner(np.eye(2), np.eye(3))
-
-
-def test_hs_inner_conjugate_symmetric():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert mk.hs_inner(a, b) == pytest.approx(np.conj(mk.hs_inner(b, a)))
-    assert mk.hs_inner(a, a).real > 0
-
-
-def test_herm_eig_examples():
-    res = mk.herm_eig(np.diag([-1.0, 1.0]))
-    assert np.allclose(res.eigenvalues, [-1, 1])
-    res = mk.herm_eig([[0, 1], [1, 0]])
-    assert np.allclose(res.eigenvalues, [-1, 1])
-    res = mk.herm_eig(np.zeros((2, 2)))
-    assert np.allclose(res.eigenvalues, [0, 0])
-
-
-def test_herm_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        mk.herm_eig([[0, 1], [0, 0]])
-
-
-def test_herm_eig_contract_on_random_matrices():
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        n = rng.integers(1, 17)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = a + a.conj().T
-        res = mk.herm_eig(h)
-        v, w = res.eigenvectors, res.eigenvalues
-        scale = max(mk.op_norm(h), 1e-300)
-        assert mk.op_norm(h - v @ np.diag(w) @ v.conj().T) <= 1e-10 * scale
-        assert mk.op_norm(v.conj().T @ v - np.eye(n)) <= 1e-10
-        assert np.all(np.diff(w) >= -1e-12)
 
 
 def test_solve_linear_examples():
@@ -97,7 +48,7 @@ def test_norm_vs_hs_sandwich():
         r, c = rng.integers(1, 9, size=2)
         a = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
         lo = mk.op_norm(a) ** 2
-        mid = mk.hs_inner(a, a).real
+        mid = np.vdot(a, a).real
         hi = min(r, c) * lo
         assert lo <= mid * (1 + 1e-9)
         assert mid <= hi * (1 + 1e-9)

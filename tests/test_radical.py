@@ -432,3 +432,18 @@ def test_structure_envelope_fails_on_overflow():
     m = tern.TernarySpace.from_structure(np.full((1, 1, 1, 1), 1e200), validate=False)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DecompositionInconclusive):
         rad.ternary_radical(m)
+
+
+@pytest.mark.parametrize("factor", [1e-4, 1e-8])
+def test_table_validation_is_scale_invariant(factor):
+    t = np.array(rad.matrix_algebra(2).table)
+    rad.AssocAlgebra(table=factor * t).validate()
+    t[0, 0, 1] += 0.1
+    with pytest.raises(InvalidInput, match="not associative"):
+        rad.AssocAlgebra(table=factor * t).validate()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shifting_maps_validate_past_squared_overflow(anti_m2):
+    eye = np.eye(4, dtype=np.complex128)
+    rad._validate_shifting_maps(rad.AssocAlgebra(table=1e200 * anti_m2.table), eye, eye, tol=1e-8)

@@ -98,7 +98,7 @@ def _table_reference(t):
             lhs = t[i, j] @ t.reshape(d, d * d)    # (b_i b_j) b_k for every k
             rhs = t[j] @ t[i]                      # b_i (b_j b_k) for every k
             worst = max(worst, np.abs(lhs.reshape(d, d) - rhs).max())
-    return worst / max(1.0, np.abs(t).max() ** 2)
+    return worst / np.abs(t).max() ** 2
 
 
 def _structure_tensors(catalog):

@@ -319,7 +319,7 @@ def _assoc_residual_reference(c):
         mid = c[u, k, j].conj() @ c[i, :, v]    # [b_i [b_u b_k b_j] b_v]
         rgt = c[k, u, v] @ c[i, j]              # [b_i b_j [b_k b_u b_v]]
         worst = max(worst, np.abs(lhs - mid).max(), np.abs(lhs - rgt).max())
-    return worst / max(1.0, np.abs(c).max() ** 2)
+    return worst / np.abs(c).max() ** 2
 
 
 def test_associativity_residual_matches_reference(catalog):
@@ -350,3 +350,32 @@ def test_check_axioms_is_invariant_under_rescaling(factor):
     assert rep.residuals["assoc_outer"] > 1e-2
     for name in ("assoc_outer", "assoc_inner"):
         assert rep.residuals[name] == pytest.approx(base[name], rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1e-4, 1e-8])
+def test_structure_validation_is_scale_invariant(factor):
+    # a 0.1 one-entry corruption fails at every scale: on the sparse sweep
+    # (matrix units) and on the certificate and dense sweep (a scramble)
+    m = tern.full_matrix_space(2, 2, +1)
+    for c in (tern.structure_constants_of(m).c,
+              scramble(m, np.random.default_rng(14))[0].structure.c):
+        tern.StructureConstants(4, factor * c).validate()
+        bad = np.array(c)
+        bad[0, 1, 1, 0] += 0.1 * np.abs(c).max()
+        with pytest.raises(InvalidInput, match="associativity"):
+            tern.StructureConstants(4, factor * bad).validate()
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-4, 1e-8])
+def test_block_closure_is_scale_invariant(factor):
+    e22 = np.diag([0.0, 1.0]).astype(np.complex128)
+    tern.SignedBlock(+1, 2, 2, (factor * E11, factor * e22)).validate()
+    with pytest.raises(InvalidInput, match="product-closed"):
+        tern.SignedBlock(+1, 2, 2, (factor * np.diag([1.0, 2.0]),)).validate()
+
+
+def test_raw_coordinates_must_be_finite():
+    m = tern.full_matrix_space(1, 2, -1)
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            tern.triple(m, bad, [1.0, 0.0], [1.0, 0.0])
