@@ -51,10 +51,12 @@ def _encode_array(a: np.ndarray):
 
 
 def _decode_array(data, depth: int) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, OverflowError) as exc:  # an object, or an integer past double range
-        raise ValueError(f"expected numbers in [re, im] pairs ({exc})") from None
+    # numpy infers bool from true/false, str from strings and object from
+    # null, objects or integers past 64 bits: one dtype check rejects them
+    # all, with no pass over the entries
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError("expected numbers in [re, im] pairs")
     if arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise ValueError(f"expected nesting depth {depth} of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -147,7 +149,7 @@ DEMO_NAMES = tuple(sorted([*_demo_spaces(), "m2-anti"]))
 
 
 def _cmd_verify(m, name, args):
-    report = tern.check_axioms(m, samples=args.samples, seed=args.seed, tol=args.tol)
+    report = tern.check_axioms(m, tol=args.tol)
     details = report.to_dict()
     if not report.passed:
         worst_name, worst = report.worst()
@@ -193,13 +195,16 @@ def _cmd_embed(m, name, args):
 
 
 def _cmd_radical(m, name, args):
-    e = emb.build_embedding(m) if m.is_block else None
-    alg = rad.assoc_of_embedding(e) if m.is_block else None
-    basis = rad.ternary_radical(m, embedding=e, algebra=alg)
+    if m.is_block:
+        # the embedding's radical once, for its dimension and its M-corner
+        e = emb.build_embedding(m)
+        erad = rad.jacobson_radical(rad.assoc_of_embedding(e))
+        basis = rad.m_corner(erad, e.corner_indices["M"])
+    else:
+        basis = rad.ternary_radical(m)
     details = {"radical_dim": int(basis.shape[1]),
                "semisimple": basis.shape[1] == 0}
     if m.is_block:
-        erad = rad.jacobson_radical(alg)
         details["embedding_radical_dim"] = int(erad.shape[1])
     # valid instances are semisimple; a nonzero radical is a property failure
     return details["semisimple"], details
@@ -305,7 +310,7 @@ def _cmd_demo(args, out):
     if name not in spaces:
         raise ValueError(f"unknown demo '{name}'; available: {', '.join(DEMO_NAMES)}")
     m = spaces[name]()
-    axioms = tern.check_axioms(m, samples=args.samples, seed=args.seed, tol=args.tol)
+    axioms = tern.check_axioms(m, tol=args.tol)
     split = tern.zettl_decompose(m)
     radical = rad.ternary_radical(m)
     details = {
@@ -332,13 +337,6 @@ COMMANDS = {
 }
 
 
-def _sample_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"--samples must be at least 1, got {text}")
-    return n
-
-
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol > 0):
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="instance JSON file")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $TERNLAB_SEED or 0)")
-        p.add_argument("--samples", type=_sample_count, default=500)
         p.add_argument("--tol", type=_tolerance, default=1e-8)
         p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -574,18 +574,3 @@ def cstar_identity_witness(e: StandardEmbedding):
     gap = abs(e.norm(e.mul_coords(e.star_coords(v), v)) - e.norm(v) ** 2)
     return TernaryElement(v), float(gap)
 
-
-def cstar_identity_residual(e: StandardEmbedding, samples: int = 200,
-                            seed: int = 0) -> float:
-    """Max | ||a* a|| - ||a||^2 | over random unit-norm a."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        v = rng.standard_normal(e.dim) + 1j * rng.standard_normal(e.dim)
-        n = e.norm(v)
-        if n == 0:
-            continue
-        v = v / n
-        aa = e.mul_coords(e.star_coords(v), v)
-        worst = max(worst, abs(e.norm(aa) - 1.0))
-    return worst

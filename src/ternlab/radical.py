@@ -286,9 +286,13 @@ def _quotient_algebra(a: AssocAlgebra, comp: np.ndarray) -> AssocAlgebra:
     return AssocAlgebra(table=prods @ comp.conj())
 
 
-def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
-                    embedding: StandardEmbedding = None,
-                    algebra: AssocAlgebra = None) -> np.ndarray:
+def m_corner(rad: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
+    """Basis (columns, base coordinates) of Rad A ∩ M from a basis of Rad A
+    and the coordinate indices of M."""
+    return mk.colspace(_slice_intersection(rad, m_idx)[m_idx])
+
+
+def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Basis (columns, base coordinates) of the radical of a ternary ring.
 
     Computed as Rad A(M) ∩ M via the Peirce corner of the embedding;
@@ -297,19 +301,16 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL,
     own: for x in Rad A ∩ M every x ū lies in the certified Rad A, so it
     is quasi-invertible, and by the corner equivalence (see
     ``check_corner_qi_equivalence``) x is ternary quasi-invertible in
-    every homotope.  A block space's embedding and its algebra are built
-    unless given.
+    every homotope.
     """
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if m.is_block:
-        e = embedding if embedding is not None else build_embedding(m, tol)
-        alg = algebra if algebra is not None else assoc_of_embedding(e, tol)
-        m_idx = e.corner_indices["M"]
+        e = build_embedding(m, tol)
+        alg, m_idx = assoc_of_embedding(e, tol), e.corner_indices["M"]
     else:
         alg, m_idx = structure_envelope(m, tol)
-    rad = jacobson_radical(alg, tol)
-    return mk.colspace(_slice_intersection(rad, m_idx)[m_idx])
+    return m_corner(jacobson_radical(alg, tol), m_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,21 @@ def scramble(m, rng, max_cond=20.0):
     return tern.TernarySpace.from_structure(c2, validate=True, tol=1e-7), s
 
 
+def cstar_identity_residual(e, samples=200, seed=0):
+    """Max | ||a* a|| - ||a||^2 | over random unit-norm a of an embedding."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        v = rng.standard_normal(e.dim) + 1j * rng.standard_normal(e.dim)
+        n = e.norm(v)
+        if n == 0:
+            continue
+        v = v / n
+        aa = e.mul_coords(e.star_coords(v), v)
+        worst = max(worst, abs(e.norm(aa) - 1.0))
+    return worst
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return standard_instances()

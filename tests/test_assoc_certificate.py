@@ -140,7 +140,7 @@ def test_dense_scramble_validates_without_the_sweep(scrambles, sweeps):
     sc = scrambles["full-4x4-tro"]
     m = tern.TernarySpace.from_structure(sc.c)
     assert sweeps == []
-    rep = tern.check_axioms(m, samples=50, seed=1)
+    rep = tern.check_axioms(m)
     assert sweeps == [16] and rep.passed
     assert rep.residuals["assoc_basis"] <= sc.associativity_bound()
 

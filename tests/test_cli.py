@@ -49,10 +49,10 @@ def test_round_trip_structure_instance():
 
 
 def test_verify_pass(mixed_file):
-    code, rep = _run_json(["verify", mixed_file, "--samples", "50"])
+    code, rep = _run_json(["verify", mixed_file])
     assert code == 0
     assert rep["passed"] is True
-    assert rep["details"]["norm_checked"] is True
+    assert set(rep["details"]["residuals"]) == {"closure"}
 
 
 def test_verify_corrupted_names_identity(tmp_path):
@@ -61,7 +61,7 @@ def test_verify_corrupted_names_identity(tmp_path):
     path = _write(tmp_path, "bad.json", {
         "name": "bad",
         "structure_constants": {"dim": 2, "c": cli._encode_array(c)}})
-    code, rep = _run_json(["verify", path, "--samples", "50"])
+    code, rep = _run_json(["verify", path])
     assert code == 1
     assert rep["details"]["failing_identity"].startswith("assoc")
     assert rep["details"]["failing_residual"] >= 0.05
@@ -98,7 +98,7 @@ def test_radical_builds_the_embedding_algebra_once(mixed_file, monkeypatch):
 
 
 def test_embed_report(mixed_file):
-    code, rep = _run_json(["embed", mixed_file, "--samples", "20"])
+    code, rep = _run_json(["embed", mixed_file])
     assert code == 0
     assert rep["details"]["pi_kernel_gap"] > 1e-9
     assert rep["details"]["cstar_witness"]["gap"] > 0.1
@@ -160,7 +160,7 @@ def test_demo_m2_anti_table():
 def test_all_demos_pass():
     for name in cli.DEMO_NAMES:
         out = io.StringIO()
-        assert cli.main(["demo", name, "--samples", "30"], out=out) == 0
+        assert cli.main(["demo", name], out=out) == 0
 
 
 def test_malformed_file_exits_2(tmp_path):
@@ -185,9 +185,12 @@ BLOCK = {"sign": 1, "rows": 1, "cols": 1, "basis": [[[[1, 0]]]]}
     {"blocks": []},
     {"blocks": [dict(BLOCK, rows=1.5)]},
     {"blocks": [dict(BLOCK, rows=True)]},
+    {"blocks": [dict(BLOCK, basis=[[[[True, False]]]])]},
+    {"blocks": [dict(BLOCK, basis=[[[[1, None]]]])]},
+    {"blocks": [dict(BLOCK, basis=[[[["1", 0]]]])]},
 ], ids=["blocks-number", "blocks-object", "block-number", "basis-number",
         "structure-constants-number", "sign-list", "blocks-empty", "rows-float",
-        "rows-bool"])
+        "rows-bool", "basis-bool", "basis-null", "basis-string"])
 def test_wrong_json_types_exit_2(tmp_path, payload):
     bad = _write(tmp_path, "bad.json", dict(payload, name="x"))
     for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],
@@ -199,19 +202,23 @@ def test_wrong_json_types_exit_2(tmp_path, payload):
     [1, 2],
     {"generators": [[[math.inf, 0.0]] + [[0.0, 0.0]] * 4]},
     {"generators": {"0": [[1.0, 0.0]] * 5}},
-], ids=["list", "infinite-entry", "generators-object"])
+    {"generators": [[[None, 0.0]] + [[0.0, 0.0]] * 4]},
+], ids=["list", "infinite-entry", "generators-object", "null-entry"])
 def test_malformed_ideal_files_exit_2(tmp_path, mixed_file, ideal, capsys):
     path = _write(tmp_path, "ideal.json", ideal)
     assert cli.main(["quotient", mixed_file, "--ideal", path]) == 2
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", [
-    "--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-8", "--samples=0", "--samples=-3",
-])
+@pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-8"])
 def test_bad_numeric_options_exit_2(mixed_file, option, capsys):
     assert cli.main(["verify", mixed_file, option]) == 2
     assert f"{option.split('=')[0]} must be" in capsys.readouterr().err
+
+
+def test_samples_option_is_gone(mixed_file, capsys):
+    assert cli.main(["verify", "--samples", "5", mixed_file]) == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
 
 def test_dependent_basis_exits_2_under_every_command(tmp_path):
@@ -225,8 +232,8 @@ def test_dependent_basis_exits_2_under_every_command(tmp_path):
 
 
 def test_reports_deterministic_under_seed(mixed_file):
-    a = _run_json(["embed", mixed_file, "--seed", "7", "--samples", "20"])
-    b = _run_json(["embed", mixed_file, "--seed", "7", "--samples", "20"])
+    a = _run_json(["embed", mixed_file, "--seed", "7"])
+    b = _run_json(["embed", mixed_file, "--seed", "7"])
     assert a == b
 
 
@@ -322,3 +329,33 @@ def test_encode_array_matches_per_entry_reference(catalog):
     for a in (np.array(1.5 - 2j), np.array(3), np.zeros(0), np.zeros((3, 0)),
               np.zeros((0, 2, 2), dtype=np.complex128), np.arange(6).reshape(2, 3)):
         assert json.dumps(cli._encode_array(a)) == json.dumps(_encode_reference(a))
+
+
+def test_exact_commands_draw_no_random_numbers(tmp_path, mixed_file, catalog, monkeypatch):
+    ms, _ = scramble(dict(catalog)["mix-full-scalar"], np.random.default_rng(3))
+    scrambled = _write(tmp_path, "scrambled.json", cli.to_instance_dict(ms, "scrambled"))
+    ideal = _write(tmp_path, "ideal.json", {"generators": [[[0, 0]] * 4 + [[1, 0]]]})
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a random number generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for argv in (["verify", mixed_file], ["verify", scrambled], ["decompose", mixed_file],
+                 ["decompose", scrambled], ["radical", mixed_file], ["radical", scrambled],
+                 ["quotient", mixed_file, "--ideal", ideal],
+                 *(["demo", name] for name in cli.DEMO_NAMES)):
+        assert cli.main(argv, out=io.StringIO()) == 0, argv
+
+
+def test_verify_report_ignores_seed(tmp_path, mixed_file, catalog):
+    ms, _ = scramble(dict(catalog)["mix-full-scalar"], np.random.default_rng(3))
+    scrambled = _write(tmp_path, "scrambled.json", cli.to_instance_dict(ms, "scrambled"))
+    for path in (mixed_file, scrambled):
+        texts, details = [], []
+        for seed in ("0", "7"):
+            out = io.StringIO()
+            assert cli.main(["verify", path, "--seed", seed], out=out) == 0
+            texts.append(out.getvalue())
+            details.append(json.dumps(_run_json(["verify", path, "--seed", seed])[1]["details"]))
+        assert texts[0] == texts[1] and details[0] == details[1], path
+

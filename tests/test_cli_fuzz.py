@@ -68,6 +68,11 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _argv(command, path, ideal_path):
+    argv = [command, str(path), "--format", "json"]
+    return argv + ["--ideal", str(ideal_path)] if command == "quotient" else argv
+
+
 @FUZZ
 @given(st.sampled_from(COMMANDS), _INSTANCES, _IDEALS)
 @example("quotient", TEMPLATES[0], [1, 2])
@@ -80,7 +85,14 @@ def test_exit_contract_holds_on_generated_files(fuzz_dir, command, instance, ide
     path, ideal_path = fuzz_dir / "instance.json", fuzz_dir / "ideal.json"
     path.write_text(json.dumps(instance), encoding="utf-8")
     ideal_path.write_text(json.dumps(ideal), encoding="utf-8")
-    argv = [command, str(path), "--samples", "20", "--format", "json"]
-    if command == "quotient":
-        argv += ["--ideal", str(ideal_path)]
-    assert cli.main(argv, out=io.StringIO()) in (0, 1, 2)
+    assert cli.main(_argv(command, path, ideal_path), out=io.StringIO()) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "radical"])
+def test_unmutated_templates_pass(fuzz_dir, command):
+    # the fuzzed runs share this command line, so they reach the commands
+    # instead of stopping at the parser
+    for template in TEMPLATES:
+        path = fuzz_dir / f"{template['name']}.json"
+        path.write_text(json.dumps(template), encoding="utf-8")
+        assert cli.main(_argv(command, path, None), out=io.StringIO()) == 0, template["name"]

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import cstar_identity_residual
 from ternlab import embedding as emb
 from ternlab import ternary as tern
 from ternlab.errors import DecompositionInconclusive, NormUnavailable, NotAnIdeal
@@ -323,4 +324,4 @@ def test_cstar_identity_holds_on_tro(catalog):
         if any(b.sign < 0 for b in m.blocks):
             continue
         e = emb.build_embedding(m)
-        assert emb.cstar_identity_residual(e, samples=200, seed=7) <= 1e-8
+        assert cstar_identity_residual(e, samples=200, seed=7) <= 1e-8
