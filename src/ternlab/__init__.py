@@ -14,7 +14,6 @@ from .errors import (
     InvalidInput,
     NormUnavailable,
     NotAnIdeal,
-    NotHermitian,
     PreconditionFailed,
     ShapeError,
     TernlabError,
@@ -23,17 +22,14 @@ from .matkernel import op_norm, solve_linear
 from .ternary import (
     AxiomReport,
     SignedBlock,
-    SpectrumReport,
     StructureConstants,
     TernaryElement,
     TernarySpace,
     ZettlSplit,
     check_axioms,
-    cube_root,
     diagonal_space,
     direct_sum,
     full_matrix_space,
-    jbstar_box_check,
     opposite,
     scalar_space,
     structure_constants_of,
@@ -49,7 +45,6 @@ from .embedding import (
     build_embedding,
     cstar_identity_witness,
     emb_mul,
-    emb_star,
     identity_of,
     peirce_split,
     pi_norm_lower_bounds,

@@ -50,16 +50,31 @@ def _encode_array(a: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _decode_array(data, depth: int) -> np.ndarray:
-    # numpy infers bool from true/false, str from strings and object from
-    # null, objects or integers past 64 bits: one dtype check rejects them
-    # all, with no pass over the entries
+def _has_bool(data) -> bool:
+    if isinstance(data, list):
+        return any(_has_bool(x) for x in data)
+    return isinstance(data, bool)
+
+
+def _decode_array(data, depth: int, bools: bool) -> np.ndarray:
+    # numpy infers bool from true/false alone, str from strings and object from
+    # null, objects or integers past 64 bits: one dtype check rejects them all.
+    # It reads a list that mixes booleans with numbers as numbers, so ``bools``
+    # (the data may hold a boolean) asks for a pass over the entries too
     arr = np.asarray(data)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or (bools and _has_bool(data)):
         raise ValueError("expected numbers in [re, im] pairs")
     if arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise ValueError(f"expected nesting depth {depth} of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _read_json(path: str) -> tuple:
+    """(data, whether the file holds the word true or false): a file without
+    either holds no JSON boolean, and its arrays skip the per-entry check."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return json.loads(text), "true" in text or "false" in text
 
 
 def to_instance_dict(m: tern.TernarySpace, name: str = "instance") -> dict:
@@ -87,8 +102,11 @@ def _int(value, what) -> int:
     return value
 
 
-def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
-    """Returns (name, TernarySpace); raises ValueError on malformed data."""
+def parse_instance_dict(data: dict, validate: bool = True, bools: bool = True) -> tuple:
+    """Returns (name, TernarySpace); raises ValueError on malformed data.
+
+    ``bools=False`` promises that the data holds no JSON boolean, which skips
+    the per-entry check of its arrays."""
     if not isinstance(data, dict):
         raise ValueError("instance file must hold a JSON object")
     name = data.get("name", "instance")
@@ -105,7 +123,7 @@ def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
             _typed(entry, dict, "each block")
             sign = _int(entry["sign"], "'sign'")
             rows, cols = _int(entry["rows"], "'rows'"), _int(entry["cols"], "'cols'")
-            basis = tuple(_decode_array(mat, 2)
+            basis = tuple(_decode_array(mat, 2, bools)
                           for mat in _typed(entry["basis"], list, "'basis'"))
             blocks.append(tern.SignedBlock(sign, rows, cols, basis))
         space = tern.TernarySpace.from_blocks(blocks, validate=validate)
@@ -115,16 +133,15 @@ def parse_instance_dict(data: dict, validate: bool = True) -> tuple:
                 b.check_independent()
         return name, space
     sc = _typed(data["structure_constants"], dict, "'structure_constants'")
-    c = _decode_array(sc["c"], 4)
+    c = _decode_array(sc["c"], 4, bools)
     if c.shape != (_int(sc["dim"], "'dim'"),) * 4:
         raise ValueError("tensor shape disagrees with declared dim")
     return name, tern.TernarySpace.from_structure(c, validate=validate)
 
 
 def load_instance(path: str, validate: bool = True) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return parse_instance_dict(data, validate=validate)
+    data, bools = _read_json(path)
+    return parse_instance_dict(data, validate=validate, bools=bools)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +191,10 @@ def _cmd_embed(m, name, args):
     e = emb.build_embedding(m)
     unit = emb.identity_of(e)
     gap = emb.pi_kernel_gap(e)
-    rng = np.random.default_rng(args.seed)
-    pairs = np.array([[e.random_element(rng).coords for _ in range(2)] for _ in range(50)])
-    # xy is the direct product, so this checks pi's table against mul_coords
-    products = e.mul_coords(pairs[:, 0], pairs[:, 1])
-    pi = emb.pi_represent(e, np.concatenate([products[:, None], pairs], axis=1)).matrix
-    hom_resid = float(np.abs(pi[:, 0] - pi[:, 1] @ pi[:, 2]).max(initial=0.0))
+    # pi(x) is left multiplication on the left ideal M ⊕ R, read from e.table, so
+    # pi(xy) = pi(x) pi(y) for all x, y follows from the table's associativity on
+    # the basis, by bilinearity: the exact sweep decides it
+    hom_resid = rad.AssocAlgebra(table=e.table).associativity_residual()
     wit = emb.cstar_identity_witness(e)
     details = {
         "dim": e.dim,
@@ -213,10 +228,10 @@ def _cmd_radical(m, name, args):
 def _cmd_quotient(m, name, args):
     if not args.ideal:
         raise ValueError("quotient needs --ideal <file> with generator coordinates")
-    with open(args.ideal, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data, bools = _read_json(args.ideal)
     _typed(data, dict, "the ideal file")
-    gens = [_decode_array(g, 1) for g in _typed(data.get("generators"), list, "'generators'")]
+    gens = [_decode_array(g, 1, bools)
+            for g in _typed(data.get("generators"), list, "'generators'")]
     ideal = idl.generated_ideal(m, gens)
     q = idl.quotient(m, ideal)
     details = {

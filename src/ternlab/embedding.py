@@ -291,11 +291,6 @@ def emb_mul(e: StandardEmbedding, a, b, tol: float = DEFAULT_TOL) -> TernaryElem
     return TernaryElement(e.mul_coords(as_coords(e, a), as_coords(e, b), tol))
 
 
-def emb_star(e: StandardEmbedding, a) -> TernaryElement:
-    """Involution a*: conjugate-linear, involutive, anti-multiplicative."""
-    return TernaryElement(e.star_coords(as_coords(e, a)))
-
-
 def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> TernaryElement:
     """The exact unit: diagonal support projections, negated on -1 blocks."""
     chunks = [b.split(b.sign * b.unit)[0] for b in e.blocks]
@@ -573,4 +568,3 @@ def cstar_identity_witness(e: StandardEmbedding):
     v /= e.norm(v)
     gap = abs(e.norm(e.mul_coords(e.star_coords(v), v)) - e.norm(v) ** 2)
     return TernaryElement(v), float(gap)
-

@@ -13,10 +13,6 @@ class ShapeError(TernlabError):
     """Operands have incompatible shapes or belong to different spaces."""
 
 
-class NotHermitian(TernlabError):
-    """A matrix expected to be Hermitian is not, beyond tolerance."""
-
-
 class NormUnavailable(TernlabError):
     """Operation needs operator norms, which only block presentations carry."""
 

@@ -165,9 +165,6 @@ class QuotientNormResult:
     def gap(self) -> float:
         return self.upper - self.lower
 
-    def to_dict(self):
-        return {"upper": self.upper, "lower": self.lower, "gap": self.gap}
-
 
 def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
                   seed: int = 0) -> QuotientNormResult:

@@ -114,22 +114,6 @@ def subspace_distance(a, b) -> float:
     return op_norm(pa - pb)
 
 
-def project_columns(basis: np.ndarray, v: np.ndarray):
-    """Coordinates of vector(s) ``v`` in the column span of ``basis``.
-
-    Returns ``(coords, residual)`` where residual is the worst 2-norm
-    distance from span(basis).  ``v`` may be a vector or a matrix of
-    column vectors.
-    """
-    if basis.shape[1] == 0:
-        r = float(np.linalg.norm(v)) if np.asarray(v).size else 0.0
-        coords = np.zeros((0,) + np.asarray(v).shape[1:], dtype=np.complex128)
-        return coords, r
-    coords, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    resid = np.linalg.norm(basis @ coords - v, axis=0)
-    return coords, float(np.max(resid)) if np.ndim(resid) else float(resid)
-
-
 #: Product rows formed per call when the products of a basis with a span are
 #: checked or collected; bounds the temporaries of desk-scale spans.
 SPAN_CHUNK_ROWS = 4096
@@ -163,6 +147,14 @@ def span_residual(prods: np.ndarray, q: np.ndarray) -> float:
 #: calls, about 100-150 ns, while a dense multiply-add runs inside a BLAS matmul,
 #: about 0.15-0.45 ns (2-core x86 VM, numpy 2.4 with OpenBLAS, d = 8 to 64).
 SPARSE_TERM_COST = 256
+
+#: Smallest dimension at which a dense structure tensor's validation tries the
+#: O(r d^5) associativity certificate before the exact O(d^7) sweep.  Below it
+#: the sweep is the cheaper check: 0.04-0.86 ms against 0.22-1.23 ms for the
+#: certificate on the scrambled tensors of d = 1 to 6; at d = 7 they are level
+#: (1.7-3.5 ms against 1.9-2.1 ms) and at d = 8 the certificate wins, 3.3-3.5
+#: ms against 4.7-4.8 ms (2-core x86 VM, numpy 2.4 with OpenBLAS, one thread).
+CERTIFICATE_MIN_DIM = 7
 
 
 def _contraction(spec: str):

@@ -240,10 +240,14 @@ def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
-    eye = np.eye(a.dim, dtype=np.complex128)
-    for s in mk.span_chunks(span, 2 * a.dim):
-        resid = mk.span_residual(np.concatenate([a.mul(eye, s[:, None]),
-                                                 a.mul(s[:, None], eye)]), span)
+    # a span row s contracted into the table's second slot gives [i, l], the
+    # coordinate l of e_i s, and into its first slot that of s e_i
+    d = a.dim
+    second = a.table.transpose(1, 0, 2).reshape(d, d * d)
+    first = a.table.reshape(d, d * d)
+    for s in mk.span_chunks(span, 2 * d):
+        resid = mk.span_residual(np.concatenate([s @ second, s @ first]).reshape(-1, d, d),
+                                 span)
         if resid > tol:
             raise DecompositionInconclusive(
                 f"computed radical is not an ideal (residual {resid:.2e})")
@@ -465,15 +469,3 @@ def corner_compressions(e: StandardEmbedding) -> dict:
         p[idx, idx] = 1.0
         out[name] = p
     return out
-
-
-def radical_is_star_invariant(a: AssocAlgebra, rad: np.ndarray,
-                              tol: float = 1e-8) -> bool:
-    """The radical of a *-algebra is self-adjoint; check on the basis."""
-    if a.star is None:
-        raise PreconditionFailed("algebra carries no involution")
-    if rad.shape[1] == 0:
-        return True
-    starred = a.star @ rad.conj()
-    _, resid = mk.project_columns(rad, starred)
-    return resid <= tol * max(1.0, float(np.abs(starred).max(initial=0.0)))

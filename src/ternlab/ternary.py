@@ -316,10 +316,11 @@ class StructureConstants:
 
     def validate(self, tol: float = DEFAULT_TOL):
         """InvalidInput unless both associativity identities hold on the basis
-        within tol.  A dense tensor passes on ``associativity_bound`` when it
-        is within tol; otherwise the exact sweep decides and a failure reports
-        the exact residual."""
-        if (not mk.sparse_pays(self.c, *_ASSOC_SWEEP)
+        within tol.  A dense tensor of at least ``mk.CERTIFICATE_MIN_DIM``
+        dimensions passes on ``associativity_bound`` when it is within tol;
+        otherwise the exact sweep decides and a failure reports the exact
+        residual."""
+        if (self.dim >= mk.CERTIFICATE_MIN_DIM and not mk.sparse_pays(self.c, *_ASSOC_SWEEP)
                 and self.associativity_bound(stop=tol) <= tol):
             return
         resid = self.associativity_residual()
@@ -442,15 +443,6 @@ class TernarySpace:
         self._need_blocks("norm")
         mats = self.realize(x)
         return max((mk.op_norm(m) for m in mats), default=0.0)
-
-    def project_blockwise(self, mats):
-        """Coordinates of per-block matrices, plus the worst residual."""
-        coords, worst = [], 0.0
-        for b, m in zip(self.blocks, mats):
-            c, r = b.project(m)
-            coords.append(c)
-            worst = max(worst, r)
-        return np.concatenate(coords, axis=-1) if coords else np.zeros((0,)), worst
 
 
 # ---------------------------------------------------------------------------
@@ -681,36 +673,6 @@ def check_axioms(m: TernarySpace, tol: float = AXIOM_TOL) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Cube roots
-
-
-def cube_root(m: TernarySpace, a, tol: float = 1e-8) -> TernaryElement:
-    """Element b with [bbb] = a.
-
-    Per TRO block ``b = U S^{1/3} V*`` from the SVD of the block of
-    ``a``; anti blocks negate that.
-    """
-    m._need_blocks("cube_root")
-    coords = as_coords(m, a)
-    mats = m.realize(coords)
-    roots = []
-    for blk, mat in zip(m.blocks, mats):
-        u, s, vh = np.linalg.svd(mat)
-        k = min(blk.rows, blk.cols)
-        root = (u[:, :k] * np.cbrt(s)) @ vh[:k, :]
-        roots.append(blk.sign * root)
-    out, resid = m.project_blockwise(roots)
-    scale = max(1.0, float(np.abs(np.concatenate([r.ravel() for r in roots])).max(initial=0.0)))
-    if resid > 1e-8 * scale:
-        raise InvalidInput(f"cube root left the span (residual {resid:.2e})")
-    b = TernaryElement(out)
-    err = m.norm(triple(m, b, b, b).coords - coords)
-    if err > tol * max(1.0, m.norm(coords)):
-        raise DecompositionInconclusive(f"cube root residual {err:.2e} exceeds tolerance")
-    return b
-
-
-# ---------------------------------------------------------------------------
 # Zettl decomposition
 
 
@@ -806,53 +768,4 @@ def zettl_decompose(m: TernarySpace, tol: float = 1e-8) -> ZettlSplit:
         minus=_subspace_restriction(m, n, tol),
         plus_coords=p,
         minus_coords=n,
-    )
-
-
-# ---------------------------------------------------------------------------
-# JB*-triple spectral test
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Spectrum of the realified box operator x -> ([aax] + [axa]) / 2."""
-
-    eigenvalues: np.ndarray
-    min_real: float
-    max_imag: float
-    scale: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues_real": [float(v) for v in np.sort(self.eigenvalues.real)],
-            "min_real": self.min_real,
-            "max_imag": self.max_imag,
-            "scale": self.scale,
-            "passed": self.passed,
-        }
-
-
-def jbstar_box_check(m: TernarySpace, a, tol: float = 1e-8) -> SpectrumReport:
-    """Necessary spectral condition for the symmetrized triple product.
-
-    When the space is TRO-like, the real-linear operator
-    ``x -> ([aax] + [axa]) / 2`` has nonnegative spectrum; any negative
-    eigenvalue certifies anti-TRO behaviour at ``a``.
-    """
-    m._need_blocks("jbstar_box_check")
-    av = as_coords(m, a)
-    eye = np.eye(m.dim, dtype=np.complex128)
-    xs = np.vstack([eye, 1j * eye])  # the real basis e_j, i e_j of C^d
-    out = 0.5 * (_triple_coords(m, av, av, xs) + _triple_coords(m, av, xs, av))
-    eigvals = np.linalg.eigvals(np.hstack([out.real, out.imag]).T)
-    scale = max(1.0, m.norm(av) ** 2)
-    min_real = float(eigvals.real.min(initial=0.0))
-    max_imag = float(np.abs(eigvals.imag).max(initial=0.0))
-    return SpectrumReport(
-        eigenvalues=eigvals,
-        min_real=min_real,
-        max_imag=max_imag,
-        scale=scale,
-        passed=bool(min_real >= -tol * scale),
     )

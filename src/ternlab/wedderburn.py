@@ -26,34 +26,17 @@ class WedderburnSolution:
     """Coefficients of a numeric isomorphism onto M_n.
 
     ``phi`` maps basis coordinates to vec'd n-by-n matrices (column i is
-    vec(phi(b_i))).  ``epsilon`` holds the sign table read off the
-    source multiplication when the basis multiplies like matrix units,
-    index (i, j, l) meaning b_(ij) b_(jl) = epsilon * b_(il).
+    vec(phi(b_i))).
     """
 
     phi: np.ndarray
     target_dim: int
     residual: float
     condition: float
-    epsilon: dict
 
     def apply(self, x) -> np.ndarray:
         n = self.target_dim
         return (self.phi @ np.asarray(x, dtype=np.complex128)).reshape(n, n)
-
-
-def _epsilon_table(a: AssocAlgebra, n: int) -> dict:
-    """Signs from products of matrix-unit-shaped basis elements."""
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                coeffs = a.table[i * n + j, j * n + l]
-                target = i * n + l
-                rest = np.delete(coeffs, target)
-                if np.abs(rest).max(initial=0.0) <= 1e-12:
-                    out[(i + 1, j + 1, l + 1)] = complex(coeffs[target])
-    return out
 
 
 def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0,
@@ -86,7 +69,7 @@ def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0,
         raise DecompositionInconclusive(f"isomorphism residual {rep.max_residual:.2e}, "
                                         f"condition {rep.condition:.2e}")
     return WedderburnSolution(phi=phi, target_dim=n, residual=rep.max_residual,
-                              condition=rep.condition, epsilon=_epsilon_table(a, n))
+                              condition=rep.condition)
 
 
 @dataclass(frozen=True)
@@ -94,10 +77,6 @@ class IsomorphismReport:
     max_residual: float
     condition: float
     invertible: bool
-
-    def to_dict(self):
-        return {"max_residual": self.max_residual, "condition": self.condition,
-                "invertible": self.invertible}
 
 
 def verify_isomorphism(phi: np.ndarray, a: AssocAlgebra,

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import scramble
 from ternlab import cli
+from ternlab import embedding as emb
 from ternlab import radical as rad
 from ternlab import ternary as tern
 
@@ -104,6 +105,24 @@ def test_embed_report(mixed_file):
     assert rep["details"]["cstar_witness"]["gap"] > 0.1
 
 
+def test_embed_fails_on_a_non_associative_table(mixed_file, monkeypatch):
+    # the first M basis element squares to 0 in the linking algebra; a 0.1 in
+    # that product breaks associativity, while the unit and pi's kernel gap hold
+    table = emb.StandardEmbedding.table.func
+
+    def corrupted(self):
+        t = np.array(table(self))
+        m0 = self.corner_indices["M"][0]
+        t[m0, m0, m0] += 0.1
+        return t
+
+    monkeypatch.setattr(emb.StandardEmbedding, "table", property(corrupted))
+    code, rep = _run_json(["embed", mixed_file])
+    assert code == 1
+    assert rep["details"]["pi_homomorphism_residual"] > 1e-3
+    assert rep["details"]["pi_kernel_gap"] > 1e-9
+
+
 def test_quotient_command(tmp_path, mixed_file):
     gen = np.zeros(5, dtype=np.complex128)
     gen[0] = 1.0
@@ -188,9 +207,10 @@ BLOCK = {"sign": 1, "rows": 1, "cols": 1, "basis": [[[[1, 0]]]]}
     {"blocks": [dict(BLOCK, basis=[[[[True, False]]]])]},
     {"blocks": [dict(BLOCK, basis=[[[[1, None]]]])]},
     {"blocks": [dict(BLOCK, basis=[[[["1", 0]]]])]},
+    {"blocks": [dict(BLOCK, basis=[[[[True, 0.5]]]])]},
 ], ids=["blocks-number", "blocks-object", "block-number", "basis-number",
         "structure-constants-number", "sign-list", "blocks-empty", "rows-float",
-        "rows-bool", "basis-bool", "basis-null", "basis-string"])
+        "rows-bool", "basis-bool", "basis-null", "basis-string", "basis-bool-and-number"])
 def test_wrong_json_types_exit_2(tmp_path, payload):
     bad = _write(tmp_path, "bad.json", dict(payload, name="x"))
     for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],
@@ -203,7 +223,8 @@ def test_wrong_json_types_exit_2(tmp_path, payload):
     {"generators": [[[math.inf, 0.0]] + [[0.0, 0.0]] * 4]},
     {"generators": {"0": [[1.0, 0.0]] * 5}},
     {"generators": [[[None, 0.0]] + [[0.0, 0.0]] * 4]},
-], ids=["list", "infinite-entry", "generators-object", "null-entry"])
+    {"generators": [[[True, 0.5]] + [[0.0, 0.0]] * 4]},
+], ids=["list", "infinite-entry", "generators-object", "null-entry", "bool-and-number-entry"])
 def test_malformed_ideal_files_exit_2(tmp_path, mixed_file, ideal, capsys):
     path = _write(tmp_path, "ideal.json", ideal)
     assert cli.main(["quotient", mixed_file, "--ideal", path]) == 2
@@ -341,7 +362,8 @@ def test_exact_commands_draw_no_random_numbers(tmp_path, mixed_file, catalog, mo
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     for argv in (["verify", mixed_file], ["verify", scrambled], ["decompose", mixed_file],
-                 ["decompose", scrambled], ["radical", mixed_file], ["radical", scrambled],
+                 ["decompose", scrambled], ["embed", mixed_file],
+                 ["radical", mixed_file], ["radical", scrambled],
                  ["quotient", mixed_file, "--ideal", ideal],
                  *(["demo", name] for name in cli.DEMO_NAMES)):
         assert cli.main(argv, out=io.StringIO()) == 0, argv

@@ -198,12 +198,6 @@ def test_radical_of_embeddings_vanishes(catalog):
         assert rad.jacobson_radical(alg).shape[1] == 0
 
 
-def test_radical_star_invariance(anti_m2, nilpotent_2d):
-    assert rad.radical_is_star_invariant(anti_m2, rad.jacobson_radical(anti_m2))
-    with pytest.raises(PreconditionFailed):
-        rad.radical_is_star_invariant(nilpotent_2d, np.zeros((2, 0)))
-
-
 def test_ternary_radical_examples(catalog):
     for _, m in catalog[:10]:
         assert rad.ternary_radical(m).shape[1] == 0

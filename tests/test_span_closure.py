@@ -93,9 +93,15 @@ def _check_space(m):
 
     e = emb.build_embedding(m)
     a = rad.AssocAlgebra(table=e.table)
-    corner = np.eye(e.dim, dtype=np.complex128)[:, e.corner_indices["M"]]
+    eye = np.eye(e.dim, dtype=np.complex128)
+    idx = e.corner_indices
+    corner = eye[:, idx["M"]]
+    # the first block row L ⊕ M is a right ideal and the first block column
+    # L ⊕ Mbar a left one: each passes one of the two product orders only
+    row = eye[:, np.concatenate([idx["L"], idx["M"]])]
+    column = eye[:, np.concatenate([idx["L"], idx["Mbar"]])]
     embedded = idl.embed_ideal(e, ideal)
-    for span in (embedded, corner):
+    for span in (embedded, corner, row, column):
         want = _assoc_reference(e, span)
         assert abs(emb._assoc_ideal_residual(e, span) - want) <= TOL
         assert _audit_passes(a, span) == _audit_reference(a, span)

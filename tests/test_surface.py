@@ -1,0 +1,56 @@
+"""Every name the package exports has a caller.
+
+A name exported from ``ternlab/__init__.py`` must be referenced, outside its
+own definition, by a ``src/ternlab`` module, by the acceptance criteria, by a
+README Python example or by the benchmark harness; tests of the name alone do
+not count.  References are read from the syntax tree: a ``Name`` or an
+``Attribute`` of that name.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ternlab"
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for a in node.names]
+
+
+def _references(tree, skip=None) -> set:
+    """Names and attribute names used in the tree, outside the top-level
+    definition named ``skip``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _callers() -> list:
+    """Syntax trees whose references count for every name: the acceptance
+    criteria, the README examples and the benchmark harness."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return [ast.parse(src) for src in sources]
+
+
+def test_every_export_has_a_caller():
+    modules = [ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    used = set().union(*(_references(t) for t in _callers()))
+    orphans = [name for name in _exports()
+               if name not in used and not any(name in _references(t, skip=name)
+                                               for t in modules)]
+    assert orphans == []

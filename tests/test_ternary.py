@@ -9,7 +9,6 @@ from ternlab import ternary as tern
 from ternlab.errors import (
     DecompositionInconclusive,
     InvalidInput,
-    NormUnavailable,
     ShapeError,
 )
 
@@ -69,29 +68,6 @@ def test_structure_constants_reproduce_triple(catalog):
         direct = tern.triple(m, x, y, z).coords
         assert np.linalg.norm(via_tensor - direct) <= 1e-10 * max(
             1, np.linalg.norm(direct))
-
-
-def test_cube_root_examples():
-    mp, mm = tern.scalar_space(+1), tern.scalar_space(-1)
-    assert tern.cube_root(mp, [8]).coords[0] == pytest.approx(2)
-    assert tern.cube_root(mm, [8]).coords[0] == pytest.approx(-2)
-    assert np.allclose(tern.cube_root(mp, [0]).coords, [0])
-
-
-def test_cube_root_round_trip(catalog):
-    rng = np.random.default_rng(2)
-    for _, m in catalog:
-        for _ in range(10):
-            a = m.random_element(rng)
-            b = tern.cube_root(m, a)
-            err = m.norm(tern.triple(m, b, b, b).coords - a.coords)
-            assert err <= 1e-8 * max(1.0, m.norm(a))
-
-
-def test_cube_root_unavailable_for_structure():
-    ms = tern.as_structure_space(tern.scalar_space(+1))
-    with pytest.raises(NormUnavailable):
-        tern.cube_root(ms, [8])
 
 
 def test_check_axioms_block_instances(catalog):
@@ -249,28 +225,6 @@ def test_triple_shape_mismatch():
         tern.triple(tern.scalar_space(1), [1, 2], [1], [1])
 
 
-def test_jbstar_box_examples():
-    mp, mm = tern.scalar_space(+1), tern.scalar_space(-1)
-    rp = tern.jbstar_box_check(mp, [1])
-    assert rp.passed
-    assert np.allclose(sorted(rp.eigenvalues.real), [0, 1], atol=1e-10)
-    rm = tern.jbstar_box_check(mm, [1])
-    assert not rm.passed
-    assert np.allclose(sorted(rm.eigenvalues.real), [-1, 0], atol=1e-10)
-    assert tern.jbstar_box_check(mm, [0]).passed
-
-
-def test_jbstar_separates_parts():
-    rng = np.random.default_rng(9)
-    m = tern.direct_sum(tern.full_matrix_space(2, 2, +1), tern.diagonal_space(2, -1))
-    split = tern.zettl_decompose(m)
-    for _ in range(50):
-        a = split.plus_coords @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        assert tern.jbstar_box_check(m, a).passed
-        b = split.minus_coords @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        assert not tern.jbstar_box_check(m, b).passed
-
-
 def test_associativity_on_random_quintuples(catalog):
     # [[xyz]uv] = [x[uzy]v] = [xy[zuv]] on 500 quintuples, relative to their
     # norms times the square of the product's size on them
@@ -360,15 +314,33 @@ def test_check_axioms_is_invariant_under_rescaling(factor):
 @pytest.mark.parametrize("factor", [1e-4, 1e-8])
 def test_structure_validation_is_scale_invariant(factor):
     # a 0.1 one-entry corruption fails at every scale: on the sparse sweep
-    # (matrix units) and on the certificate and dense sweep (a scramble)
-    m = tern.full_matrix_space(2, 2, +1)
+    # (matrix units) and on the certificate and dense sweep (a scramble of a
+    # dimension at which validation tries the certificate)
+    m = tern.full_matrix_space(2, 4, +1)
+    assert m.dim >= mk.CERTIFICATE_MIN_DIM
     for c in (tern.structure_constants_of(m).c,
               scramble(m, np.random.default_rng(14))[0].structure.c):
-        tern.StructureConstants(4, factor * c).validate()
+        tern.StructureConstants(8, factor * c).validate()
         bad = np.array(c)
         bad[0, 1, 1, 0] += 0.1 * np.abs(c).max()
         with pytest.raises(InvalidInput, match="associativity"):
-            tern.StructureConstants(4, factor * bad).validate()
+            tern.StructureConstants(8, factor * bad).validate()
+
+
+def test_certificate_runs_from_its_minimum_dimension(monkeypatch):
+    # below CERTIFICATE_MIN_DIM the exact sweep alone validates a dense tensor
+    calls = []
+    bound = tern.StructureConstants.associativity_bound
+
+    def counted(self, stop=np.inf):
+        calls.append(self.dim)
+        return bound(self, stop)
+
+    monkeypatch.setattr(tern.StructureConstants, "associativity_bound", counted)
+    rng = np.random.default_rng(15)
+    for d in (mk.CERTIFICATE_MIN_DIM - 1, mk.CERTIFICATE_MIN_DIM):
+        scramble(tern.diagonal_space(d, +1), rng)   # validates the scrambled tensor
+    assert calls == [mk.CERTIFICATE_MIN_DIM]
 
 
 @pytest.mark.parametrize("factor", [1.0, 1e-4, 1e-8])

@@ -76,6 +76,14 @@ def test_construction_rejects_non_simple(catalog):
         wed.solve_wedderburn(rad.assoc_of_embedding(e), 4)
 
 
+def _epsilon(a, i, j, l):
+    """The sign eps(ijl) with b_ij b_jl = eps(ijl) b_il in a's table (indices from 1)."""
+    prod = a.table[(i - 1) * 2 + (j - 1), (j - 1) * 2 + (l - 1)]
+    eps = prod[(i - 1) * 2 + (l - 1)]
+    assert np.count_nonzero(prod) == 1 and abs(eps) == 1, (i, j, l)
+    return eps
+
+
 def test_solution_satisfies_quadratic_equation_system(anti_m2):
     # sum_q a_ijpq a_jlqs = eps(ijl) a_ilps over all p, s, i, j, l
     sol = wed.solve_wedderburn(anti_m2, 2, seed=1)
@@ -87,7 +95,7 @@ def test_solution_satisfies_quadratic_equation_system(anti_m2):
     for i in (1, 2):
         for j in (1, 2):
             for l in (1, 2):
-                eps = sol.epsilon[(i, j, l)]
+                eps = _epsilon(anti_m2, i, j, l)
                 for p in (1, 2):
                     for s in (1, 2):
                         total = sum(a(i, j, p, q) * a(j, l, q, s) for q in (1, 2))
@@ -97,13 +105,12 @@ def test_solution_satisfies_quadratic_equation_system(anti_m2):
 
 
 def test_epsilon_matches_table(anti_m2):
-    sol = wed.solve_wedderburn(anti_m2, 2, seed=0)
     expected = {
         (1, 1, 1): -1, (1, 1, 2): -1, (1, 2, 1): +1, (1, 2, 2): -1,
         (2, 1, 1): -1, (2, 1, 2): +1, (2, 2, 1): -1, (2, 2, 2): -1,
     }
     for key, val in expected.items():
-        assert sol.epsilon[key] == pytest.approx(val)
+        assert _epsilon(anti_m2, *key) == val
 
 
 def test_star_obstruction_closed_form(anti_m2, m2x):
