@@ -69,12 +69,25 @@ def _decode_array(data, depth: int, bools: bool) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _holds(text: str, word: str, key: str) -> bool:
+    """Whether text holds word, looked for only where key occurs: a letter of
+    word that no number holds, since a substring search for the whole word
+    runs slowly through digits."""
+    at = word.index(key)
+    i = text.find(key)
+    while i >= 0:
+        if i >= at and text.startswith(word, i - at):
+            return True
+        i = text.find(key, i + 1)
+    return False
+
+
 def _read_json(path: str) -> tuple:
     """(data, whether the file holds the word true or false): a file without
     either holds no JSON boolean, and its arrays skip the per-entry check."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return json.loads(text), "true" in text or "false" in text
+    return json.loads(text), _holds(text, "true", "u") or _holds(text, "false", "a")
 
 
 def to_instance_dict(m: tern.TernarySpace, name: str = "instance") -> dict:

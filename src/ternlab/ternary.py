@@ -8,7 +8,8 @@ presentations support only the algebraic operations.
 
 All values are immutable and all operations are pure.  Only
 ``random_element`` draws random numbers, from the generator it is given;
-``check_axioms`` decides the axioms from exact basis-level residuals.
+``check_axioms`` decides the axioms on the basis, from exact residuals or,
+for a passing dense structure tensor, a rigorous bound on them.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _span_bound(basis: tuple, apply, norm: float, d: int, stop: float) -> float:
         if total > stop:
             return np.inf
         total += am * apply(qa)
-    return total * (1 + gamma) if total <= stop else np.inf
+    return float(total * (1 + gamma)) if total <= stop else np.inf
 
 
 @dataclass(frozen=True)
@@ -314,16 +315,23 @@ class StructureConstants:
             return np.inf
         return max(worst, _span_bound(spans[1], psi, n0 + n1, d, stop))
 
+    def _assoc_verdict(self, tol: float) -> tuple:
+        """("assoc_bound", bound) when a dense tensor of at least
+        ``mk.CERTIFICATE_MIN_DIM`` dimensions passes on ``associativity_bound``
+        within tol, else ("assoc_basis", the exact residual): only a passing
+        verdict skips the sweep, so a failure always reports the exact
+        residual."""
+        if self.dim >= mk.CERTIFICATE_MIN_DIM and not mk.sparse_pays(self.c, *_ASSOC_SWEEP):
+            bound = self.associativity_bound(stop=tol)
+            if bound <= tol:
+                return "assoc_bound", bound
+        return "assoc_basis", self.associativity_residual()
+
     def validate(self, tol: float = DEFAULT_TOL):
         """InvalidInput unless both associativity identities hold on the basis
-        within tol.  A dense tensor of at least ``mk.CERTIFICATE_MIN_DIM``
-        dimensions passes on ``associativity_bound`` when it is within tol;
-        otherwise the exact sweep decides and a failure reports the exact
-        residual."""
-        if (self.dim >= mk.CERTIFICATE_MIN_DIM and not mk.sparse_pays(self.c, *_ASSOC_SWEEP)
-                and self.associativity_bound(stop=tol) <= tol):
-            return
-        resid = self.associativity_residual()
+        within tol, decided as ``check_axioms`` decides them: on the
+        certificate where it passes, else on the exact sweep."""
+        resid = self._assoc_verdict(tol)[1]
         if resid > tol:
             raise InvalidInput(f"associativity identities fail on the basis "
                                f"(residual {resid:.2e})")
@@ -631,7 +639,8 @@ def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL) -> TernaryS
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Exact basis-level residuals of the defining identities."""
+    """Basis-level residuals of the defining identities, each exact or, under
+    ``assoc_bound``, a rigorous upper bound on the exact one."""
 
     residuals: dict
     tol: float
@@ -661,15 +670,19 @@ def check_axioms(m: TernarySpace, tol: float = AXIOM_TOL) -> AxiomReport:
     triple product from its block span: [xyz] = sign x y* z is
     conjugate-linear in y, both associativity identities reduce to
     x y* z u* v, and the norm axioms hold for all matrices, so a closed span
-    satisfies every axiom.  Structure presentations get ``assoc_basis``, the
-    exact basis sweep of both associativity identities, which multilinearity
-    extends to all elements.
+    satisfies every axiom.  Structure presentations get the basis residual
+    of both associativity identities, which multilinearity extends to all
+    elements: ``assoc_bound``, the certificate ``associativity_bound``, when
+    a dense tensor of at least ``mk.CERTIFICATE_MIN_DIM`` dimensions passes
+    on it, and ``assoc_basis``, the exact sweep, otherwise, so a failing
+    report always carries the exact residual.
     """
     if m.dim == 0:
         return AxiomReport({}, tol)
     if m.is_block:
         return AxiomReport({"closure": max(b.closure_residual() for b in m.blocks)}, tol)
-    return AxiomReport({"assoc_basis": m.structure.associativity_residual()}, tol)
+    name, resid = m.structure._assoc_verdict(tol)
+    return AxiomReport({name: resid}, tol)
 
 
 # ---------------------------------------------------------------------------

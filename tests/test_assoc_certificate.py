@@ -8,6 +8,8 @@ It must never read below that residual: on valid tensors, where it lets
 failing verdict must still come from the exact sweep.
 """
 
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import scramble
 from test_sparse_sweeps import _monomial
+from ternlab import cli
+from ternlab import matkernel as mk
 from ternlab import ternary as tern
 from ternlab.errors import InvalidInput
 
@@ -122,6 +126,18 @@ def test_bound_covers_the_exact_residual_of_scalars():
         assert Fraction(bound) ** 2 >= 4 * (a * a + b * b) * b * b, z
 
 
+@pytest.mark.parametrize("v, w", [(3.0, 1.25), (0.5, 7.0)])
+def test_span_bound_covers_the_rounding_of_each_image(v, w):
+    # Phi(x) = w x0 - v k x1 with k = 1 + 2^-52 nearly cancels on the row (v, w):
+    # its exact value there, v w (k - 1), is lost in the computed image of the
+    # one basis row, and the remainder e is 0, so only the rounding term covers it
+    k = 1 + 2.0 ** -52
+    basis = tern._span_basis(np.array([[v, w]], dtype=np.complex128))
+    bound = tern._span_bound(basis, lambda q: float(abs(w * q[0] - v * k * q[1])),
+                             w + 2 * v, 2, np.inf)
+    assert Fraction(bound) >= Fraction(v) * Fraction(w) * (Fraction(k) - 1)
+
+
 @pytest.fixture()
 def sweeps(monkeypatch):
     """Counts the calls of the exact dense sweep."""
@@ -139,10 +155,45 @@ def sweeps(monkeypatch):
 def test_dense_scramble_validates_without_the_sweep(scrambles, sweeps):
     sc = scrambles["full-4x4-tro"]
     m = tern.TernarySpace.from_structure(sc.c)
-    assert sweeps == []
     rep = tern.check_axioms(m)
-    assert sweeps == [16] and rep.passed
-    assert rep.residuals["assoc_basis"] <= sc.associativity_bound()
+    assert sweeps == [] and rep.passed and set(rep.residuals) == {"assoc_bound"}
+    assert rep.residuals["assoc_bound"] >= sc.associativity_residual()
+
+
+@pytest.mark.parametrize("size", [1e-3, 1e-5, 1e-7, 3e-9, 1e-9, 1e-10, 1e-12])
+def test_axiom_verdicts_rest_on_the_exact_sweep(scrambles, tmp_path, size):
+    # check_axioms and ``ternlab verify`` pass or fail exactly where the exact
+    # residual is within tol, and a failing report carries that residual; at
+    # 3e-9 the bound reads above tol and the sweep passes the tensors
+    rng = np.random.default_rng(1300 + int(-np.log10(size)))
+    for name, sc in scrambles.items():
+        if sc.dim < mk.CERTIFICATE_MIN_DIM:
+            continue
+        bad = _corrupt(sc, rng, size)
+        resid = bad.associativity_residual()
+        m = tern.TernarySpace.from_structure(bad.c, validate=False)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cli.to_instance_dict(m, name)), encoding="utf-8")
+        out = io.StringIO()
+        code = cli.main(["verify", str(path), "--format", "json"], out=out)
+        reports = [tern.check_axioms(m).residuals, json.loads(out.getvalue())["details"]["residuals"]]
+        assert code == (0 if resid <= tern.AXIOM_TOL else 1), (name, resid)
+        for residuals in reports:
+            [(key, value)] = residuals.items()
+            if key == "assoc_basis":
+                assert value == pytest.approx(resid, rel=1e-9), name
+            else:
+                assert key == "assoc_bound" and resid <= value <= tern.AXIOM_TOL, name
+
+
+def test_small_or_sparse_input_reports_the_exact_sweep(catalog, scrambles):
+    # the catalog's own tensors are sparse (full-4x4-tro among them, d = 16),
+    # their scrambles dense
+    for name, m in catalog:
+        for sc in (tern.structure_constants_of(m), scrambles[name]):
+            rep = tern.check_axioms(tern.TernarySpace.from_structure(sc.c, validate=False))
+            exact = sc.dim < mk.CERTIFICATE_MIN_DIM or mk.sparse_pays(sc.c, *tern._ASSOC_SWEEP)
+            assert rep.passed and set(rep.residuals) == {"assoc_basis" if exact else "assoc_bound"}, name
 
 
 @pytest.mark.parametrize("name", ["full-4x2-tro", "full-4x4-tro"])

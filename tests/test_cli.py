@@ -30,6 +30,16 @@ def _run_json(argv):
     return code, json.loads(out.getvalue())
 
 
+@pytest.mark.parametrize("text", [
+    "true", "false", '[true, 1.5e-3]', '[false, 2]', '[1, true, 2]', '{"a": [0, false, 1]}',
+    '[-1.5e+3, 2, true]', '[0.25, false]', '[1, 2.5e-3, -4]', '"tru"', '"alse"', '"u"', '"a"',
+    '{"name": "untrue"}', '{"basis": [[1, 0]], "name": "fa lse"}'])
+def test_read_json_finds_true_or_false_anywhere(tmp_path, text):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli._read_json(str(path)) == (json.loads(text), "true" in text or "false" in text)
+
+
 def test_round_trip_block_instances(catalog):
     for name, m in catalog:
         data = json.loads(json.dumps(cli.to_instance_dict(m, name)))
