@@ -59,27 +59,56 @@ def operator_pairs(ten: np.ndarray) -> np.ndarray:
     return np.stack([ten, ten.swapaxes(0, 1).conj()], axis=2).reshape(d, d, -1)
 
 
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    f = rows.view(np.float64)
+    return np.einsum("ij,ij->i", f, f)
+
+
 def _span_basis(rows: np.ndarray) -> tuple:
     """(Q, max_k |a_k.|, max_k |e_k|, max_k |rows[k]|) with rows = a Q + e.
 
-    Q is an orthonormal basis of the combinations of rows along the
-    eigenvectors of their Gram matrix whose eigenvalues exceed n u times the
-    largest (n rows, u the unit roundoff).  The coefficients a = rows Q* and
-    the remainder e = rows - a Q are formed explicitly, so rows = a Q + e
-    holds whatever the accuracy of Q.
+    Q is an orthonormal basis of the span of the n rows by Gram-Schmidt,
+    pivoted on the row with the largest remainder: each basis row is that
+    remainder, orthogonalized twice against the basis so far, and costs one
+    matrix-vector product with the rows.  It stops once every remainder's
+    squared norm is at most n u times the largest row's (u the unit
+    roundoff).  The remainders' norms are downdated as the basis grows, so
+    the stop is confirmed on the exact remainders.  Q is then turned onto the
+    principal directions of the rows by the SVD of the n-by-r coefficients,
+    which keeps sum_a max_k |a_ka| as small as the rows allow.  The
+    coefficients a = rows Q* and the remainder e = rows - a Q are formed
+    explicitly, so rows = a Q + e holds whatever the accuracy of Q.
     """
-    gram = rows @ rows.conj().T
-    rho = float(np.sqrt(gram.diagonal().real.max(initial=0.0)))
-    lam, vec = np.linalg.eigh(gram)
-    del gram
-    top = vec[:, lam > len(lam) * _UNIT * lam[-1]]
-    q = np.linalg.qr((top.conj().T @ rows).T)[0].T
-    a = rows @ q.conj().T
-    e = a @ q
-    np.subtract(rows, e, out=e)
-    e = e.view(np.float64)
-    rest = float(np.sqrt(np.einsum("ij,ij->i", e, e).max(initial=0.0)))
-    return q, np.abs(a).max(axis=0, initial=0.0), rest, rho
+    n, m = rows.shape
+    left = _sq_norms(rows)
+    top = float(left.max(initial=0.0))
+    floor = n * _UNIT * top
+    q = np.empty((min(n, m), m), dtype=np.complex128)
+    a = np.empty((n, len(q)), dtype=np.complex128)
+    r = 0
+    while True:
+        p = int(left.argmax())
+        if left[p] > floor and r < len(q):
+            v = rows[p] - a[p, :r] @ q[:r]
+            if np.vdot(v, v).real <= floor:
+                left[p] = 0.0       # its downdated norm read high: row p is spanned
+                continue
+        else:
+            q[:r] = np.linalg.svd(a[:, :r], full_matrices=False)[2] @ q[:r]
+            a[:, :r] = rows @ q[:r].conj().T
+            e = a[:, :r] @ q[:r]
+            np.subtract(rows, e, out=e)
+            left = _sq_norms(e)
+            p = int(left.argmax())
+            if left[p] <= floor or r == len(q):
+                return (q[:r], np.abs(a[:, :r]).max(axis=0, initial=0.0),
+                        float(np.sqrt(left[p])), float(np.sqrt(top)))
+            v = e[p]
+        v -= (q[:r] @ v.conj()).conj() @ q[:r]
+        q[r] = v / np.sqrt(np.vdot(v, v).real)
+        a[:, r] = rows @ q[r].conj()
+        left -= a[:, r].real ** 2 + a[:, r].imag ** 2
+        r += 1
 
 
 def _span_bound(basis: tuple, apply, norm: float, d: int, stop: float) -> float:
