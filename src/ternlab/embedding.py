@@ -478,18 +478,21 @@ def _assoc_ideal_residual(e: StandardEmbedding, span: np.ndarray) -> float:
     SPAN_CHUNK_ROWS / 4 rows a batch, as this check sets the peak memory of
     an ideal's embedding.
     """
-    d, worst = e.dim, 0.0
+    d = e.dim
     bases = [b.materialize(np.eye(b.dim, dtype=np.complex128))[None] for b in e.blocks]
-    for s in mk.span_chunks(span, 4 * d):
-        mats = [b.materialize(s[:, sl])[:, None] for b, sl in zip(e.blocks, e.block_slices)]
-        for left in (True, False):
-            # [row j, basis i]: coordinates of e_i s_j, then of s_j e_i
-            prods = np.zeros((len(s), d, d), dtype=np.complex128)
-            for b, sl, basis, mat in zip(e.blocks, e.block_slices, bases, mats):
-                big = b.mul_big(basis, mat) if left else b.mul_big(mat, basis)
-                prods[:, sl, sl] = _split_checked(b, big, DEFAULT_TOL)
-            worst = max(worst, mk.span_residual(prods, span))
-    return worst
+
+    def groups():
+        for s in mk.span_chunks(span, 4 * d):
+            mats = [b.materialize(s[:, sl])[:, None] for b, sl in zip(e.blocks, e.block_slices)]
+            for left in (True, False):
+                # [row j, basis i]: coordinates of e_i s_j, then of s_j e_i
+                prods = np.zeros((len(s), d, d), dtype=np.complex128)
+                for b, sl, basis, mat in zip(e.blocks, e.block_slices, bases, mats):
+                    big = b.mul_big(basis, mat) if left else b.mul_big(mat, basis)
+                    prods[:, sl, sl] = _split_checked(b, big, DEFAULT_TOL)
+                yield prods
+
+    return mk.span_residual(groups(), span)
 
 
 def _slice_intersection(span: np.ndarray, keep: np.ndarray, tol=DEFAULT_TOL):
@@ -529,8 +532,8 @@ def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners
 def _ternary_ideal_residual(m: TernarySpace, span: np.ndarray) -> float:
     """Worst projection residual of [MMS], [SMM], [MSM] against span(S)."""
     q = mk.colspace(span)
-    return max((mk.span_residual(_ideal_products(m, s), q)
-                for s in mk.span_chunks(q, 3 * m.dim ** 2)), default=0.0)
+    chunks = mk.span_chunks(q, 3 * m.dim ** 2)
+    return mk.span_residual((_ideal_products(m, s) for s in chunks), q)
 
 
 # ---------------------------------------------------------------------------

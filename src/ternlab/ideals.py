@@ -63,6 +63,14 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
 
     Each round adds the basis products of the span, so the span grows
     or the loop stops, within ``m.dim`` rounds.
+
+    A chunk's products P meet the current basis Q (k orthonormal columns)
+    through their residual R = P - Q(QᴴP) first.  [Q | P] = [Q | QQᴴP] +
+    [0 | R], the first term of rank k, so by Weyl's inequality
+    σ_{k+1}([Q | P]) <= ||R||_2 <= ||R||_F, while σ_k >= 1 and
+    σ_1 <= ||[Q | P]||_F.  When ||R||_F <= tol and tol ||[Q | P]||_F < 1,
+    ``colspace``'s rank rule (σ_i > tol σ_1) would keep exactly k columns,
+    so the chunk is skipped; otherwise Q becomes colspace([Q | P]).
     """
     gens = gens if isinstance(gens, (list, tuple)) else np.atleast_2d(gens)
     cols = [as_coords(m, g) for g in gens]
@@ -72,8 +80,11 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
     while 0 < span.shape[1] < d:
         grown = span
         for s in mk.span_chunks(span, 3 * d * d):
-            prods = _ideal_products(m, s).reshape(-1, d)
-            grown = mk.colspace(np.hstack([grown, prods.T]), tol)
+            prods = _ideal_products(m, s).reshape(-1, d).T
+            resid = np.linalg.norm(prods - grown @ (grown.conj().T @ prods))
+            frob = np.sqrt(grown.shape[1] + np.linalg.norm(prods) ** 2)
+            if resid > tol or tol * frob >= 1.0:
+                grown = mk.colspace(np.hstack([grown, prods]), tol)
         if grown.shape[1] == span.shape[1]:
             break
         span = grown

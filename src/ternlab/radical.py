@@ -299,12 +299,11 @@ def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
     d = a.dim
     second = a.table.transpose(1, 0, 2).reshape(d, d * d)
     first = a.table.reshape(d, d * d)
-    for s in mk.span_chunks(span, 2 * d):
-        resid = mk.span_residual(np.concatenate([s @ second, s @ first]).reshape(-1, d, d),
-                                 span)
-        if resid > tol:
-            raise DecompositionInconclusive(
-                f"computed radical is not an ideal (residual {resid:.2e})")
+    resid = mk.span_residual((np.concatenate([s @ second, s @ first]).reshape(-1, d, d)
+                              for s in mk.span_chunks(span, 2 * d)), span)
+    if resid > tol:
+        raise DecompositionInconclusive(
+            f"computed radical is not an ideal (residual {resid:.2e})")
 
 
 def _certify_nilpotent(a: AssocAlgebra, span: np.ndarray, tol: float):

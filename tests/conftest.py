@@ -73,6 +73,17 @@ def mixed_split_instances():
     return out
 
 
+def lattice_spaces():
+    """The three multi-block spaces of the ideal-lattice benchmark, named."""
+    full, diag, scalar, dsum = (tern.full_matrix_space, tern.diagonal_space,
+                                tern.scalar_space, tern.direct_sum)
+    return [
+        ("f33p-f22m-d2p", dsum(full(3, 3, +1), full(2, 2, -1), diag(2, +1))),
+        ("f44p-f22m", dsum(full(4, 4, +1), full(2, 2, -1))),
+        ("f23m-f32p-sm", dsum(full(2, 3, -1), full(3, 2, +1), scalar(-1))),
+    ]
+
+
 def scramble(m, rng, max_cond=20.0):
     """Structure constants of m in a random well-conditioned basis."""
     c = tern.structure_constants_of(m).c

@@ -10,7 +10,7 @@ products as generic products of broadcast one-hot batches, through
 import numpy as np
 import pytest
 
-from conftest import scramble
+from conftest import lattice_spaces, scramble
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -31,23 +31,13 @@ def _ideal_products_reference(m, s):
 
 def _assoc_reference(e, span):
     eye = np.eye(e.dim, dtype=np.complex128)
-    return max((mk.span_residual(prods, span) for s in mk.span_chunks(span, 4 * e.dim)
-                for prods in (e.mul_coords(eye, s[:, None]), e.mul_coords(s[:, None], eye))),
-               default=0.0)
-
-
-def _lattice_spaces():
-    full, diag, scalar, dsum = (tern.full_matrix_space, tern.diagonal_space,
-                                tern.scalar_space, tern.direct_sum)
-    return [
-        ("f33p-f22m-d2p", dsum(full(3, 3, +1), full(2, 2, -1), diag(2, +1))),
-        ("f44p-f22m", dsum(full(4, 4, +1), full(2, 2, -1))),
-        ("f23m-f32p-sm", dsum(full(2, 3, -1), full(3, 2, +1), scalar(-1))),
-    ]
+    return mk.span_residual((prods for s in mk.span_chunks(span, 4 * e.dim)
+                             for prods in (e.mul_coords(eye, s[:, None]),
+                                           e.mul_coords(s[:, None], eye))), span)
 
 
 def _spaces(catalog):
-    return list(catalog) + _lattice_spaces()
+    return list(catalog) + lattice_spaces()
 
 
 def _random_rows(rng, n, d):

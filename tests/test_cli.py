@@ -391,3 +391,30 @@ def test_verify_report_ignores_seed(tmp_path, mixed_file, catalog):
             details.append(json.dumps(_run_json(["verify", path, "--seed", seed])[1]["details"]))
         assert texts[0] == texts[1] and details[0] == details[1], path
 
+
+
+def test_every_command_prints_identical_stdout_twice(tmp_path, catalog):
+    spaces = dict(catalog)
+    rng = np.random.default_rng(5)
+    instances = [(name, spaces[name]) for name in ("scalar-anti", "mix-anti-diag",
+                                                    "closure-2x2-two-gens")]
+    instances += [(f"{name}-scrambled", scramble(spaces[name], rng)[0])
+                  for name in ("mix-full-scalar", "full-2x3-tro")]
+    runs = [["demo", name] for name in cli.DEMO_NAMES]
+    for name, m in instances:
+        path = _write(tmp_path, f"{name}.json", cli.to_instance_dict(m, name))
+        gen = np.eye(m.dim, dtype=np.complex128)[0]
+        ideal = _write(tmp_path, f"{name}.ideal.json", {"generators": [cli._encode_array(gen)]})
+        runs += [[command, path] for command in ("verify", "decompose", "embed", "radical",
+                                                 "wedderburn")]
+        runs.append(["quotient", path, "--ideal", ideal])
+    for argv in runs:
+        for fmt in ("text", "json"):
+            results = []
+            for _ in range(2):
+                out = io.StringIO()
+                code = cli.main(argv + ["--seed", "3", "--format", fmt], out=out)
+                results.append((code, out.getvalue()))
+            assert results[0] == results[1], (argv, fmt)
+            if argv[0] in ("verify", "decompose", "quotient", "demo"):
+                assert results[0][0] == 0 and results[0][1], (argv, fmt)

@@ -6,7 +6,7 @@ from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
 from ternlab import ternary as tern
-from ternlab.errors import NormUnavailable, NotAnIdeal
+from ternlab.errors import NormUnavailable, NotAnIdeal, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,17 @@ def test_is_ideal_trivial_cases(cc_tro):
 
 def test_is_ideal_first_coordinate(cc_tro):
     assert idl.is_ideal(cc_tro, np.array([[1.0], [0.0]], dtype=np.complex128))
+
+
+def test_one_dimensional_span_is_a_shape_error():
+    # a flat e11 is no column: it must not read as the empty span
+    m = tern.full_matrix_space(2, 2, +1)
+    e11 = np.eye(4, dtype=np.complex128)[0]
+    assert not idl.is_ideal(m, e11[:, None])
+    with pytest.raises(ShapeError):
+        idl.is_ideal(m, e11)
+    with pytest.raises(ShapeError):
+        idl.TernaryIdeal(m, e11)
 
 
 def test_is_ideal_rejects_corner_span():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ternlab import matkernel as mk
-from ternlab.errors import InvalidInput
+from ternlab.errors import InvalidInput, ShapeError
 
 SQRT2 = 1.4142135623730951  # singular value of [[1,1],[0,0]], rank one
 
@@ -87,3 +87,34 @@ def test_nullspace_matches_full_svd():
         assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
         assert mk.subspace_distance(got, want) <= 1e-10
         assert np.abs(m @ got).max(initial=0.0) <= 1e-10 * np.abs(m).max()
+
+
+def test_colspace_rejects_arrays_that_are_not_2d():
+    for a in (np.ones(3), np.ones((2, 2, 2)), np.array(1.0)):
+        with pytest.raises(ShapeError):
+            mk.colspace(a)
+
+
+def test_wide_colspace_matches_thin_svd():
+    rng = np.random.default_rng(19)
+
+    def thin_svd_colspace(m, tol=1e-9):
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        if s[0] == 0.0:
+            return np.zeros((m.shape[0], 0), dtype=np.complex128)
+        return u[:, :int(np.sum(s > tol * s[0]))]
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = [np.zeros((4, 512)), cplx(1, 1024), cplx(1, 3000), cplx(8, 128), cplx(20, 3616),
+             cplx(20, 3) @ cplx(3, 400),           # rank 3
+             cplx(16, 10) @ cplx(10, 64),          # rank 10
+             1e-150 * cplx(12, 200), 1e150 * cplx(12, 200),
+             1e-150 * cplx(12, 5) @ cplx(5, 200)]  # tiny and rank 5
+    for m in cases:
+        assert m.shape[1] >= 2 * m.shape[0] and m.size >= mk.WIDE_QR_MIN_ENTRIES
+        got, want = mk.colspace(m), thin_svd_colspace(m)
+        assert got.shape == want.shape
+        assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
+        assert mk.subspace_distance(got, want) <= 1e-10

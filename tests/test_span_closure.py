@@ -3,10 +3,15 @@
 The reference functions below form the basis products of one span column
 at a time, as the ideal checks did before they shared
 ``matkernel.span_residual``; the library versions must agree with them.
+They also pin the kernels' short cuts: ``span_residual`` read on the
+complement of a wide span, and ``generated_ideal`` skipping a chunk whose
+residual against the current basis is within tolerance.
 """
 
 import numpy as np
+import pytest
 
+from conftest import lattice_spaces, scramble
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -129,3 +134,81 @@ def test_span_closure_matches_reference_across_chunks():
     ideal = idl.generated_ideal(m, gens)
     assert ideal.dim == m.dim
     assert mk.subspace_distance(ideal.basis, _generated_reference(m, gens)) <= TOL
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 20])
+def test_span_residual_complement_matches_projection(d):
+    # below 0.1 the bound is 1e-13 absolute: either side's projection rounds
+    # at about d eps, up to 5e-15 here
+    floor = 0.1
+    rng = np.random.default_rng(1900 + d)
+    for r in sorted({0, 1, d // 2, d // 2 + 1, d - 1, d} & set(range(d + 1))):
+        q = mk.colspace(_cplx(rng, d, r)) if r else np.zeros((d, 0), dtype=np.complex128)
+        assert q.shape[1] == r
+        inside = _cplx(rng, 3, 5, r) @ q.T
+        chunks = [_cplx(rng, 4, 6, d), inside, inside + 1e-6 * _cplx(rng, 3, 5, d),
+                  1e6 * _cplx(rng, 2, 3, d), 1e-6 * _cplx(rng, 2, 3, d)]
+        want = max(_worst(group, q) for chunk in chunks for group in chunk)
+        got = mk.span_residual(iter(chunks), q)
+        assert abs(got - want) <= 1e-12 * max(want, floor), (d, r)
+        # the in-span groups alone leave only rounding
+        assert mk.span_residual([inside], q) <= 1e-13, (d, r)
+
+
+def _scaled(m, t):
+    if not m.is_block:
+        return tern.TernarySpace.from_structure(t * m.structure.c, validate=False)
+    return tern.TernarySpace.from_blocks(
+        [tern.SignedBlock(b.sign, b.rows, b.cols, tuple(t * b.stack)) for b in m.blocks],
+        validate=False)
+
+
+def _closure_counting_calls(m, gens):
+    """generated_ideal(m, gens) and its calls of colspace and _ideal_products."""
+    calls = {"colspace": 0, "products": 0}
+    colspace, products = mk.colspace, idl._ideal_products
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mk, "colspace", counted("colspace", colspace))
+        mp.setattr(idl, "_ideal_products", counted("products", products))
+        ideal = idl.generated_ideal(m, gens)
+    return ideal, calls
+
+
+def test_generated_ideal_skip_rule_matches_reference(catalog):
+    rng = np.random.default_rng(1901)
+    scrambles = [scramble(m, rng)[0] for _, m in catalog]
+    cases = [(m, [np.eye(m.dim, dtype=np.complex128)[0]])
+             for m in [m for _, m in catalog] + scrambles]
+    cases += [(m, [np.eye(m.dim, dtype=np.complex128)[sl.start]])
+              for _, m in lattice_spaces() for sl in m.block_slices]
+    closing = 0
+    for m, gens in cases:
+        for t in (1.0, 1e6, 1e-6):
+            space = _scaled(m, t)
+            ideal, calls = _closure_counting_calls(space, gens)
+            ref = _generated_reference(space, gens)
+            assert ideal.dim == ref.shape[1]
+            assert mk.subspace_distance(ideal.basis, ref) <= 1e-10
+            if t == 1.0 and ideal.dim < m.dim:
+                # an ideal short of the whole space closes on a skipped chunk,
+                # f44p-f22m's 16-dim ideal of its first coordinate among them
+                closing += 1
+                assert calls["colspace"] < calls["products"] + 2
+            if t == 1e6 and m.is_block:
+                # the product coordinates scale by 1e12: the rank rule's
+                # threshold tol * sigma_1 exceeds 1, so every chunk falls back
+                # to colspace, one call each besides the generators' and
+                # TernaryIdeal's own
+                assert calls["colspace"] == calls["products"] + 2
+    assert closing >= 10
