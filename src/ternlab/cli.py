@@ -223,13 +223,10 @@ def _cmd_embed(m, name, args):
 
 
 def _cmd_radical(m, name, args):
-    if m.is_block:
-        # the embedding's radical once, for its dimension and its M-corner
-        e = emb.build_embedding(m)
-        erad = rad.jacobson_radical(rad.assoc_of_embedding(e))
-        basis = rad.m_corner(erad, e.corner_indices["M"])
-    else:
-        basis = rad.ternary_radical(m)
+    # the ambient algebra's radical once, for its dimension and its M-corner
+    alg, m_idx = rad._ambient(m)
+    erad = rad.jacobson_radical(alg)
+    basis = rad.m_corner(erad, m_idx)
     details = {"radical_dim": int(basis.shape[1]),
                "semisimple": basis.shape[1] == 0}
     if m.is_block:

@@ -34,16 +34,13 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel as mk
-from .errors import (
-    DecompositionInconclusive,
-    InvalidInput,
-    NotAnIdeal,
-)
+from .errors import DecompositionInconclusive, NotAnIdeal
 from .ternary import (
     TernaryElement,
     TernarySpace,
     _block_slices,
     _ideal_products,
+    _span_coords,
     as_coords,
     random_coords,
 )
@@ -51,17 +48,7 @@ from .ternary import (
 DEFAULT_TOL = 1e-9
 
 CORNERS = ("L", "M", "Mbar", "R")
-
-
-def _support_projection(mats, dim_space, tol=1e-10):
-    """Projection onto the joint column space of the given matrices."""
-    s = np.zeros((dim_space, dim_space), dtype=np.complex128)
-    for m in mats:
-        s += m @ m.conj().T
-    w, v = np.linalg.eigh(s)
-    keep = w > tol * max(w.max(initial=0.0), 1e-300)
-    vk = v[:, keep]
-    return vk @ vk.conj().T
+_MATRIX_LEAVES_SPAN = "block matrix leaves the embedding span"
 
 
 @dataclass(frozen=True)
@@ -160,17 +147,6 @@ class BlockEmbedding:
         return s * ((s * a) @ (s * b))
 
 
-def _split_checked(b: BlockEmbedding, big, tol):
-    """``b.split(big)``'s coordinates; InvalidInput when a matrix leaves the
-    block's span by more than tol relative to max(1, the largest entry)."""
-    coords, resid = b.split(big)
-    scale = max(1.0, float(np.abs(big).max(initial=0.0)))
-    if resid > tol * scale:
-        raise InvalidInput(f"block matrix leaves the embedding span "
-                           f"(residual {resid / scale:.2e})")
-    return coords
-
-
 @dataclass(frozen=True)
 class StandardEmbedding:
     """The linking (+) / twisted (-) algebra containing a block space."""
@@ -220,7 +196,8 @@ class StandardEmbedding:
     def _split(self, mats, tol):
         """Coordinates of per-block big matrices; InvalidInput when one
         leaves its block's span."""
-        return [_split_checked(b, big, tol) for b, big in zip(self.blocks, mats)]
+        return [_span_coords(b.split, big, tol, _MATRIX_LEAVES_SPAN)
+                for b, big in zip(self.blocks, mats)]
 
     def norm(self, x) -> float:
         """Block operator norm of the concrete realization."""
@@ -273,8 +250,11 @@ def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedd
         rr = (adj[:, None] @ stack[None]).reshape(-1, blk.cols * blk.cols)   # x* y
         r_basis = mk.colspace(rr.T, tol)
         r_stack = r_basis.T.reshape(-1, blk.cols, blk.cols)
-        p = _support_projection(list(stack), blk.rows)
-        q = _support_projection([x.conj().T for x in stack], blk.cols)
+        # units P, Q: projections onto the joint column space of the basis
+        # matrices, then of their adjoints, stacked side by side (a cut of 1e-5
+        # on its singular values is one of 1e-10 on the eigenvalues of sum x x*)
+        p, q = (u @ u.conj().T for u in (mk.colspace(
+            a.transpose(1, 0, 2).reshape(a.shape[1], -1), 1e-5) for a in (stack, adj)))
         be = BlockEmbedding(sign=blk.sign, rows=blk.rows, cols=blk.cols,
                             m_stack=stack, l_stack=l_stack, r_stack=r_stack,
                             l_unit=p, r_unit=q)
@@ -457,7 +437,7 @@ def pi_norm_lower_bounds(e: StandardEmbedding, a, tol: float = 1e-8) -> BoundsRe
 
 @dataclass(frozen=True)
 class PeirceCorners:
-    """Corner intersections of an ideal with L, M, Mbar, R."""
+    """Corner parts of an ideal in L, M, Mbar, R (embedding coordinates)."""
 
     l: np.ndarray
     m: np.ndarray
@@ -489,34 +469,35 @@ def _assoc_ideal_residual(e: StandardEmbedding, span: np.ndarray) -> float:
                 prods = np.zeros((len(s), d, d), dtype=np.complex128)
                 for b, sl, basis, mat in zip(e.blocks, e.block_slices, bases, mats):
                     big = b.mul_big(basis, mat) if left else b.mul_big(mat, basis)
-                    prods[:, sl, sl] = _split_checked(b, big, DEFAULT_TOL)
+                    prods[:, sl, sl] = _span_coords(b.split, big, DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
                 yield prods
 
     return mk.span_residual(groups(), span)
 
 
-def _slice_intersection(span: np.ndarray, keep: np.ndarray, tol=DEFAULT_TOL):
-    """Vectors of a span supported on the given coordinate indices."""
-    dim = span.shape[0]
-    mask = np.ones(dim, dtype=bool)
-    mask[keep] = False
-    outside = span[mask, :]
-    ns = mk.nullspace(outside, tol)
-    return mk.colspace(span @ ns, tol)
+def _corner_part(span: np.ndarray, idx: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns, zero outside ``idx``) of the part in the
+    corner ``idx`` of a span with orthonormal columns that is the direct sum
+    of its corner parts, as every ideal of a Peirce-graded algebra is.  The
+    span's rows in the corner have singular values 1 on the part and 0 off
+    it, so the part is their column space; rows all within tol of zero are
+    rounding, and the corner has no part."""
+    rows = span[idx]
+    q = mk.colspace(rows, tol) if np.abs(rows).max(initial=0.0) > tol else rows[:, :0]
+    part = np.zeros((len(span), q.shape[1]), dtype=np.complex128)
+    part[idx] = q
+    return part
 
 
 def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners:
-    """Split a verified ideal into its four corner intersections."""
+    """Split a verified ideal into its four corner parts (see ``_corner_part``),
+    whose dimensions must add up to the ideal's: a span that is not graded
+    by the corners has more, and raises DecompositionInconclusive."""
     span = mk.colspace(np.asarray(span, dtype=np.complex128), DEFAULT_TOL)
     resid = _assoc_ideal_residual(e, span)
     if resid > tol:
         raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
-    corners = PeirceCorners(
-        l=_slice_intersection(span, e.corner_indices["L"]),
-        m=_slice_intersection(span, e.corner_indices["M"]),
-        mbar=_slice_intersection(span, e.corner_indices["Mbar"]),
-        r=_slice_intersection(span, e.corner_indices["R"]),
-    )
+    corners = PeirceCorners(*(_corner_part(span, e.corner_indices[c]) for c in CORNERS))
     if sum(corners.dims) != span.shape[1]:
         raise DecompositionInconclusive(
             f"corner dimensions {corners.dims} do not add up to {span.shape[1]}")

@@ -20,10 +20,11 @@ from . import matkernel as mk
 from .embedding import StandardEmbedding, _ternary_ideal_residual, peirce_split
 from .errors import InvalidInput, NotAnIdeal
 from .ternary import (
-    StructureConstants,
     TernarySpace,
+    _empty_space,
     _ideal_products,
-    _triple_coords,
+    _restricted_products,
+    _triple_coords,  # noqa: F401  perfbench/test_perfbench.py checks this binding
     as_coords,
     zettl_decompose,
 )
@@ -53,7 +54,8 @@ def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
 
     The middle containment is checked explicitly even though it is
     automatic in an exact C*-ternary ring; numerically non-closed
-    inputs should not get a free pass.
+    inputs should not get a free pass.  The products are divided by the
+    data scale (see ``_ideal_products``), so the verdict is scale-free.
     """
     return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= tol
 
@@ -62,7 +64,8 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
     """Smallest ideal containing the generators (fixed point of products).
 
     Each round adds the basis products of the span, so the span grows
-    or the loop stops, within ``m.dim`` rounds.
+    or the loop stops, within ``m.dim`` rounds; they are divided by the data
+    scale (see ``_ideal_products``), so the ideal is scale-free.
 
     A chunk's products P meet the current basis Q (k orthonormal columns)
     through their residual R = P - Q(QᴴP) first.  [Q | P] = [Q | QQᴴP] +
@@ -146,11 +149,9 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal,
         raise NotAnIdeal("subspace fails the ternary ideal containments")
     comp = mk.nullspace(ideal.basis.conj().T)
     if comp.shape[1] == 0:
-        return TernarySpace(structure=StructureConstants(
-            0, np.zeros((0, 0, 0, 0), dtype=np.complex128)))
+        return _empty_space()
     # coset coordinates: [J | C] is unitary, so the C part is v @ conj(C)
-    cols = comp.T
-    c = _triple_coords(m, cols[:, None, None], cols[None, :, None], cols[None, None]) @ comp.conj()
+    c = _restricted_products(m, comp) @ comp.conj()
     return TernarySpace.from_structure(c, validate=True, tol=max(tol, 1e-8))
 
 

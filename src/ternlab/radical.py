@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel as mk
-from .embedding import StandardEmbedding, _slice_intersection, build_embedding
+from .embedding import StandardEmbedding, _corner_part, build_embedding
 from .errors import (
     BorderlineWarning,
     DecompositionInconclusive,
@@ -123,27 +123,13 @@ def _product_grade(x: int, y: int) -> int:
     return (x & 2) | (y & 1)
 
 
-def _assoc_residual(table: np.ndarray, grades: tuple = None) -> float:
-    """``AssocAlgebra.associativity_residual`` of ``table``.
-
-    ``grades`` may give the slices of the four corners of a linking algebra
-    that the table is graded by.  Where the dense loop over the first index
-    would run, a table of more than 16 dimensions that is zero outside its 8
-    composable corner blocks (checked exactly) is swept over the 16
-    composable triples instead: every other triple's products are exact
-    zeros on both sides.  That is at most as many iterations as the dense
-    loop's, each with fewer multiply-adds.
-    """
+def _assoc_residual(table: np.ndarray) -> float:
+    """``AssocAlgebra.associativity_residual`` of ``table``: the sparse sweep
+    where ``sparse_pays`` picks it, else the dense loop over the first index."""
     d = len(table)
     t = table / mk.unit_scale(table)
     if mk.sparse_pays(t, *_ASSOC_SWEEP):
         return mk.sparse_gap(t, *_ASSOC_SWEEP)
-    if grades is not None and d > len(_TRIPLES):
-        # each block is a factor of 8 products in the sweep: copy it once, not per reshape
-        blocks = {(x, y): np.ascontiguousarray(
-            t[grades[x], grades[y], grades[_product_grade(x, y)]]) for x, y in _PAIRS}
-        if sum(map(np.count_nonzero, blocks.values())) == np.count_nonzero(t):
-            return _graded_gap(blocks)
     resid = 0.0
     # both sides laid out as (j, k, l) for each i
     lhs = np.empty((d, d * d), dtype=np.complex128)
@@ -157,8 +143,9 @@ def _assoc_residual(table: np.ndarray, grades: tuple = None) -> float:
 
 
 def _graded_gap(blocks: dict) -> float:
-    """The dense loop's residual from the 8 corner blocks of a graded table,
-    one pair of matmuls per composable triple.  ``blocks[x, y]`` holds the
+    """The dense loop's residual on a table graded by the corners of a
+    linking algebra, one pair of matmuls per composable triple (every other
+    triple's products are zero).  ``blocks[x, y]`` (C-contiguous) holds the
     coordinates of the products of grade x with grade y in their grade."""
     resid = 0.0
     for x, y, z in _TRIPLES:
@@ -344,9 +331,19 @@ def _quotient_algebra(a: AssocAlgebra, comp: np.ndarray) -> AssocAlgebra:
 
 
 def m_corner(rad: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
-    """Basis (columns, base coordinates) of Rad A ∩ M from a basis of Rad A
-    and the coordinate indices of M."""
-    return mk.colspace(_slice_intersection(rad, m_idx)[m_idx])
+    """Basis (columns, base coordinates) of Rad A ∩ M from an orthonormal
+    basis of Rad A and the coordinate indices of M: Rad A is an ideal of the
+    Peirce-graded A, so this is its corner part (``embedding._corner_part``)."""
+    return _corner_part(rad, m_idx)[m_idx]
+
+
+def _ambient(m: TernarySpace, tol: float = DEFAULT_TOL) -> tuple:
+    """(A, M-corner indices): the embedding on block input, the structure
+    envelope on structure input; Rad A ∩ M is the radical of m."""
+    if m.is_block:
+        e = build_embedding(m, tol)
+        return assoc_of_embedding(e, tol), e.corner_indices["M"]
+    return structure_envelope(m, tol)
 
 
 def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -362,11 +359,7 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    if m.is_block:
-        e = build_embedding(m, tol)
-        alg, m_idx = assoc_of_embedding(e, tol), e.corner_indices["M"]
-    else:
-        alg, m_idx = structure_envelope(m, tol)
+    alg, m_idx = _ambient(m, tol)
     return m_corner(jacobson_radical(alg, tol), m_idx)
 
 
@@ -383,9 +376,9 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     bilinear.  Returns the algebra and the coordinate indices of the
     embedded copy of M.
 
-    The table vanishes outside the 8 corner blocks of composable pairs, so
-    its associativity is checked over the 16 composable triples of corners
-    alone (see ``_assoc_residual``) where the dense loop would run.
+    The table is built as the 8 corner blocks of composable pairs and
+    vanishes outside them, so its associativity is checked by ``_graded_gap``
+    on those blocks, divided by their largest entry.
     """
     c = m.structure.c
     d = m.dim
@@ -399,10 +392,9 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     r_basis = mk.colspace(r_pairs.reshape(d * d, -1).T, tol)
     dk, dr = l_basis.shape[1], r_basis.shape[1]
     n = dk + d + d + dr
-    sl_a = slice(0, dk)
-    sl_f = slice(dk, dk + d)
-    sl_g = slice(dk + d, dk + 2 * d)
-    sl_b = slice(dk + 2 * d, n)
+    # the corners A, f, gbar, B as grades 0-3
+    cuts = (0, dk, dk + d, dk + 2 * d, n)
+    grades = tuple(map(slice, cuts[:-1], cuts[1:]))
 
     def coords(basis, prods, corner):
         # coordinates of stacked pairs (..., 2 d^2) in the orthonormal basis,
@@ -419,21 +411,25 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     # the pairs (a1, a2) of the A basis and (b1, b2) of the B basis
     a1, a2 = l_basis.T.reshape(dk, 2, d, d).transpose(1, 0, 2, 3)
     b1, b2 = r_basis.T.reshape(dr, 2, d, d).transpose(1, 0, 2, 3)
-    # the eight nonzero corner blocks of the product of basis elements
-    table = np.zeros((n, n, n), dtype=np.complex128)
     aa = np.stack([a1[:, None] @ a1, a2 @ a2[:, None]], axis=2)
-    table[sl_a, sl_a, sl_a] = coords(l_basis, aa.reshape(dk, dk, 2 * d * d), "A")
-    table[sl_f, sl_g, sl_a] = coords(l_basis, l_pairs, "A")        # f s'
     bb = np.stack([b1 @ b1[:, None], b2[:, None] @ b2], axis=2)
-    table[sl_b, sl_b, sl_b] = coords(r_basis, bb.reshape(dr, dr, 2 * d * d), "B")
-    table[sl_g, sl_f, sl_b] = coords(r_basis, r_pairs, "B")        # s f'
-    table[sl_a, sl_f, sl_f] = a1.transpose(0, 2, 1)                # a1 f'
-    table[sl_f, sl_b, sl_f] = b1.transpose(2, 0, 1)                # b1' f
-    table[sl_g, sl_a, sl_g] = a2.transpose(2, 0, 1)                # a2' s
-    table[sl_b, sl_g, sl_g] = b2.transpose(0, 2, 1)                # b2 s'
-    alg = AssocAlgebra(table=table)
-    _require_associative(_assoc_residual(alg.table, (sl_a, sl_f, sl_g, sl_b)), max(tol, 1e-8))
-    return alg, np.arange(dk, dk + d)
+    blocks = {
+        (0, 0): coords(l_basis, aa.reshape(dk, dk, 2 * d * d), "A"),
+        (1, 2): coords(l_basis, l_pairs, "A"),          # f s'
+        (3, 3): coords(r_basis, bb.reshape(dr, dr, 2 * d * d), "B"),
+        (2, 1): coords(r_basis, r_pairs, "B"),          # s f'
+        (0, 1): a1.transpose(0, 2, 1),                  # a1 f'
+        (1, 3): b1.transpose(2, 0, 1),                  # b1' f
+        (2, 0): a2.transpose(2, 0, 1),                  # a2' s
+        (3, 2): b2.transpose(0, 2, 1),                  # b2 s'
+    }
+    table = np.zeros((n, n, n), dtype=np.complex128)
+    for (x, y), block in blocks.items():
+        table[grades[x], grades[y], grades[_product_grade(x, y)]] = block
+    scale = max(float(np.abs(v).max(initial=0.0)) for v in blocks.values()) or 1.0
+    _require_associative(_graded_gap({k: np.ascontiguousarray(v) / scale
+                                      for k, v in blocks.items()}), max(tol, 1e-8))
+    return AssocAlgebra(table=table), np.arange(dk, dk + d)
 
 
 # ---------------------------------------------------------------------------

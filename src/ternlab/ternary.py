@@ -34,6 +34,7 @@ AXIOM_TOL = 1e-8
 _UNIT = np.finfo(np.float64).eps / 2
 # [[xyz]uv] against [x[uzy]v] and [xy[zuv]] on the basis, as matkernel sweeps
 _ASSOC_SWEEP = ("ijkm,muvl->ijkuvl", ("ukjm*,imvl->ijkuvl", "kuvm,ijml->ijkuvl"))
+_TRIPLE_LEAVES_SPAN = "triple product left the block span"
 
 
 def _triple_mats(x, y, z, sign):
@@ -486,14 +487,14 @@ class TernarySpace:
 # Triple products
 
 
-def _span_coords(b: SignedBlock, prods: np.ndarray, tol: float) -> np.ndarray:
-    """Coordinates of products of b's matrices; InvalidInput when one leaves
-    b's span by more than tol relative to max(1, the products' largest entry)."""
-    coords, resid = b.project(prods)
-    scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
+def _span_coords(project, mats: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The coordinates of ``project(mats)``, which returns (coordinates, worst
+    residual); InvalidInput, its message starting with ``what``, when a matrix
+    leaves the span by more than tol relative to max(1, the largest entry)."""
+    coords, resid = project(mats)
+    scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
     if resid > tol * scale:
-        raise InvalidInput(f"triple product left the block span "
-                           f"(residual {resid / scale:.2e})")
+        raise InvalidInput(f"{what} (residual {resid / scale:.2e})")
     return coords
 
 
@@ -501,8 +502,9 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
                    tol: float = DEFAULT_TOL) -> np.ndarray:
     """Batched triple product on coordinate arrays (..., dim)."""
     if m.is_block:
-        outs = [_span_coords(b, _triple_mats(b.realize(xs[..., s]), b.realize(ys[..., s]),
-                                             b.realize(zs[..., s]), b.sign), tol)
+        outs = [_span_coords(b.project, _triple_mats(b.realize(xs[..., s]), b.realize(ys[..., s]),
+                                                     b.realize(zs[..., s]), b.sign),
+                             tol, _TRIPLE_LEAVES_SPAN)
                 for b, s in zip(m.blocks, m.block_slices)]
         if not outs:
             return np.zeros(xs.shape, dtype=np.complex128)
@@ -525,7 +527,10 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
 
 def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
     """[e_i e_k s], [s e_i e_k] and [e_i s e_k] for each row s of ``s``,
-    grouped by pattern and row as (3 * len(s), d * d, d).
+    grouped by pattern and row as (3 * len(s), d * d, d), divided by the
+    data scale: |c|max on structure input, the square of the largest block
+    entry on block input (the coordinates are of degree 1 in c, 2 in the
+    blocks), so ranks and residuals read on them do not depend on the scale.
 
     Structure input contracts s with c and its cached ``_slot_first`` copies,
     d^4 multiply-adds a row.
@@ -537,12 +542,15 @@ def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
     """
     n, d = len(s), m.dim
     if not m.is_block:
+        c = m.structure.c
+        s = s / mk.unit_scale(c)
         third, middle = m.structure._slot_first
         out = np.empty((3, n, d ** 3), dtype=np.complex128)
         np.matmul(s, third, out=out[0])
-        np.matmul(s, m.structure.c.reshape(d, d ** 3), out=out[1])
+        np.matmul(s, c.reshape(d, d ** 3), out=out[1])
         np.matmul(s.conj(), middle, out=out[2])
         return out.reshape(-1, d * d, d)
+    scale = max(mk.unit_scale(b.stack) for b in m.blocks) ** 2
     out = np.zeros((3, n, d, d, d), dtype=np.complex128)
     for b, sl in zip(m.blocks, m.block_slices):
         k, r, c = b.dim, b.rows, b.cols
@@ -562,7 +570,8 @@ def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
                  right.reshape(n, r, k, k, c).transpose(0, 2, 3, 1, 4),
                  mid.reshape(n, k, r, k, c).transpose(0, 1, 3, 2, 4))
         for p, prod in enumerate(prods):
-            np.multiply(b.sign, _span_coords(b, prod, DEFAULT_TOL), out=out[p, :, sl, sl, sl])
+            coords = _span_coords(b.project, prod, DEFAULT_TOL, _TRIPLE_LEAVES_SPAN)
+            np.multiply(b.sign / scale, coords, out=out[p, :, sl, sl, sl])
     return out.reshape(-1, d * d, d)
 
 
@@ -736,14 +745,19 @@ def _empty_space() -> TernarySpace:
         0, np.zeros((0, 0, 0, 0), dtype=np.complex128)))
 
 
+def _restricted_products(m: TernarySpace, basis: np.ndarray) -> np.ndarray:
+    """(k, k, k, d) triple products of the k columns of a coordinate basis."""
+    cols = basis.T
+    return _triple_coords(m, cols[:, None, None], cols[None, :, None], cols[None, None])
+
+
 def _subspace_restriction(m: TernarySpace, basis: np.ndarray,
                           tol: float) -> TernarySpace:
     """Structure constants induced on an orthonormal coordinate subspace."""
     k = basis.shape[1]
     if k == 0:
         return _empty_space()
-    cols = basis.T  # (k, d)
-    prods = _triple_coords(m, cols[:, None, None], cols[None, :, None], cols[None, None])
+    prods = _restricted_products(m, basis)
     inside = prods @ basis.conj()
     resid = float(np.abs(prods - inside @ basis.T).max(initial=0.0))
     scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
@@ -762,7 +776,8 @@ def zettl_decompose(m: TernarySpace, tol: float = 1e-8) -> ZettlSplit:
     an ordered Schur form of the trace operator W(g) = sum_j [g b_j b_j]:
     on a block W is right multiplication by sign * sum_j b_j* b_j, so it
     is definite there with the block's sign, in any basis.  Non-real or
-    near-zero spectrum of W raises DecompositionInconclusive.
+    near-zero spectrum of W raises DecompositionInconclusive, both judged
+    relative to ||W||, so the split does not depend on the scale of c.
     """
     d = m.dim
     if m.is_block:
@@ -782,7 +797,7 @@ def zettl_decompose(m: TernarySpace, tol: float = 1e-8) -> ZettlSplit:
         return ZettlSplit(_empty_space(), _empty_space(), empty, empty)
 
     w = np.einsum("ijjl->li", m.structure.c)
-    scale = max(mk.op_norm(w), 1.0)
+    scale = mk.op_norm(w)
     eigvals = np.linalg.eigvals(w)
     if np.max(np.abs(eigvals.imag), initial=0.0) > 1e-8 * scale:
         raise DecompositionInconclusive("trace operator has non-real spectrum")

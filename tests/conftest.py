@@ -84,6 +84,23 @@ def lattice_spaces():
     ]
 
 
+def data_scale(m):
+    """The scale the ideal checks divide their products by: |c|max on
+    structure input, the square of the largest block entry on block input."""
+    if not m.is_block:
+        return float(np.abs(m.structure.c).max(initial=0.0)) or 1.0
+    return max(float(np.abs(b.stack).max()) for b in m.blocks) ** 2
+
+
+def scaled(m, t):
+    """m with its blocks, or its structure tensor, multiplied by t."""
+    if not m.is_block:
+        return tern.TernarySpace.from_structure(t * m.structure.c, validate=False)
+    return tern.TernarySpace.from_blocks(
+        [tern.SignedBlock(b.sign, b.rows, b.cols, tuple(t * b.stack)) for b in m.blocks],
+        validate=False)
+
+
 def scramble(m, rng, max_cond=20.0):
     """Structure constants of m in a random well-conditioned basis."""
     c = tern.structure_constants_of(m).c

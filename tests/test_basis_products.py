@@ -10,7 +10,7 @@ products as generic products of broadcast one-hot batches, through
 import numpy as np
 import pytest
 
-from conftest import lattice_spaces, scramble
+from conftest import data_scale, lattice_spaces, scramble
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -26,7 +26,7 @@ def _ideal_products_reference(m, s):
     x, y, s = eye[:, None], eye[None], s[:, None, None]
     prods = np.stack([tern._triple_coords(m, x, y, s), tern._triple_coords(m, s, x, y),
                       tern._triple_coords(m, x, s, y)])
-    return prods.reshape(-1, d * d, d)
+    return prods.reshape(-1, d * d, d) / data_scale(m)
 
 
 def _assoc_reference(e, span):

@@ -1,0 +1,81 @@
+"""Ideal checks and the Zettl split do not depend on the scale of the data.
+
+``ternary._ideal_products`` divides the basis products by the data scale
+(|c|max on structure input, the square of the largest block entry on block
+input), and ``zettl_decompose`` judges the trace operator's spectrum
+relative to its norm.  Multiplying the blocks or c by any t then leaves the
+generated ideals, the ``is_ideal`` verdicts and the Zettl dimensions as
+they are at t = 1.
+"""
+
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import lattice_spaces, scaled, scramble
+from ternlab import cli
+from ternlab import ideals as idl
+from ternlab import ternary as tern
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _zettl_dims(m):
+    split = tern.zettl_decompose(m)
+    return split.plus.dim, split.minus.dim
+
+
+@pytest.fixture(scope="module")
+def cases(catalog):
+    """(space, generator, ideal dimension, is_ideal verdicts on the ideal and
+    on the generator's span, Zettl dimensions) at t = 1, for the catalog,
+    its scrambles and the lattice spaces."""
+    rng = np.random.default_rng(2002)
+    spaces = [m for _, m in catalog]
+    spaces += [scramble(m, rng)[0] for m in spaces] + [m for _, m in lattice_spaces()]
+    out = []
+    for m in spaces:
+        gen = np.eye(m.dim, dtype=np.complex128)[0]
+        ideal = idl.generated_ideal(m, [gen])
+        verdicts = idl.is_ideal(m, ideal.basis), idl.is_ideal(m, gen[:, None])
+        out.append((m, gen, ideal.dim, verdicts, _zettl_dims(m)))
+    # span{e_0} is an ideal of some spaces and of others not
+    assert {v[1] for *_, v, _ in out} == {True, False}
+    return out
+
+
+@PROPERTY
+@given(st.data(), st.floats(-6.0, 6.0))
+def test_ideals_and_zettl_do_not_depend_on_the_data_scale(cases, data, exponent):
+    m, gen, dim, verdicts, zettl = data.draw(st.sampled_from(cases))
+    ms = scaled(m, 10.0 ** exponent)
+    ideal = idl.generated_ideal(ms, [gen])
+    assert ideal.dim == dim
+    assert (idl.is_ideal(ms, ideal.basis), idl.is_ideal(ms, gen[:, None])) == verdicts
+    assert _zettl_dims(ms) == zettl
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 1e5])
+def test_is_ideal_rejects_a_corner_at_every_scale(t):
+    # span{E11} is no ternary ideal of full(2, 2, +1): [E11 E11 E12] = E11 E11* E12 = E12
+    m = scaled(tern.full_matrix_space(2, 2, +1), t)
+    assert not idl.is_ideal(m, np.eye(4)[:, :1])
+
+
+def test_quotient_of_scaled_blocks_passes(catalog, tmp_path):
+    # the blocks scaled by 1e-5: the products of the ideal check are of size
+    # 1e-10 and the Zettl trace operator's spectrum of size 1e-10
+    m = scaled(dict(catalog)["mix-full-scalar"], 1e-5)
+    space, ideal = tmp_path / "scaled.json", tmp_path / "ideal.json"
+    space.write_text(json.dumps(cli.to_instance_dict(m, "mix-full-scalar-1e-5")))
+    gen = cli._encode_array(np.eye(m.dim, dtype=np.complex128)[0])
+    ideal.write_text(json.dumps({"generators": [gen]}))
+    out = io.StringIO()
+    assert cli.main(["quotient", str(space), "--ideal", str(ideal), "--format", "json"],
+                    out=out) == cli.EXIT_OK
+    details = json.loads(out.getvalue())["details"]
+    assert (details["ideal_dim"], details["quotient_dim"]) == (4, 1)
+    assert details["quotient_zettl_dims"] == details["expected_zettl_dims"] == [0, 1]

@@ -11,7 +11,7 @@ residual against the current basis is within tolerance.
 import numpy as np
 import pytest
 
-from conftest import lattice_spaces, scramble
+from conftest import data_scale, lattice_spaces, scaled, scramble
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -43,7 +43,9 @@ def _column_products(m, s):
     s = np.broadcast_to(s, (d, d, d)).reshape(-1, d)
     x = np.broadcast_to(eye[:, None, :], (d, d, d)).reshape(-1, d)
     y = np.broadcast_to(eye[None, :, :], (d, d, d)).reshape(-1, d)
-    return [tern._triple_coords(m, *args) for args in ((x, y, s), (s, x, y), (x, s, y))]
+    # divided by the data scale, as the ideal checks read them
+    return [tern._triple_coords(m, *args) / data_scale(m)
+            for args in ((x, y, s), (s, x, y), (x, s, y))]
 
 
 def _ternary_reference(m, span):
@@ -159,14 +161,6 @@ def test_span_residual_complement_matches_projection(d):
         assert mk.span_residual([inside], q) <= 1e-13, (d, r)
 
 
-def _scaled(m, t):
-    if not m.is_block:
-        return tern.TernarySpace.from_structure(t * m.structure.c, validate=False)
-    return tern.TernarySpace.from_blocks(
-        [tern.SignedBlock(b.sign, b.rows, b.cols, tuple(t * b.stack)) for b in m.blocks],
-        validate=False)
-
-
 def _closure_counting_calls(m, gens):
     """generated_ideal(m, gens) and its calls of colspace and _ideal_products."""
     calls = {"colspace": 0, "products": 0}
@@ -195,20 +189,20 @@ def test_generated_ideal_skip_rule_matches_reference(catalog):
     closing = 0
     for m, gens in cases:
         for t in (1.0, 1e6, 1e-6):
-            space = _scaled(m, t)
+            space = scaled(m, t)
             ideal, calls = _closure_counting_calls(space, gens)
             ref = _generated_reference(space, gens)
             assert ideal.dim == ref.shape[1]
             assert mk.subspace_distance(ideal.basis, ref) <= 1e-10
-            if t == 1.0 and ideal.dim < m.dim:
-                # an ideal short of the whole space closes on a skipped chunk,
-                # f44p-f22m's 16-dim ideal of its first coordinate among them
-                closing += 1
-                assert calls["colspace"] < calls["products"] + 2
-            if t == 1e6 and m.is_block:
-                # the product coordinates scale by 1e12: the rank rule's
-                # threshold tol * sigma_1 exceeds 1, so every chunk falls back
-                # to colspace, one call each besides the generators' and
-                # TernaryIdeal's own
-                assert calls["colspace"] == calls["products"] + 2
+            if t == 1.0:
+                unscaled = ideal.dim, calls
+                if ideal.dim < m.dim:
+                    # an ideal short of the whole space closes on a skipped chunk,
+                    # f44p-f22m's 16-dim ideal of its first coordinate among them
+                    closing += 1
+                    assert calls["colspace"] < calls["products"] + 2
+            else:
+                # the products are divided by the data scale (t^2 on blocks, t on
+                # structure constants): the closure takes the same steps at every t
+                assert (ideal.dim, calls) == unscaled
     assert closing >= 10
