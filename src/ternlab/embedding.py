@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel as mk
-from .errors import DecompositionInconclusive, NotAnIdeal
+from .errors import DecompositionInconclusive, NotAnIdeal, ShapeError
 from .ternary import (
     TernaryElement,
     TernarySpace,
@@ -48,6 +48,12 @@ from .ternary import (
 DEFAULT_TOL = 1e-9
 
 CORNERS = ("L", "M", "Mbar", "R")
+#: Sign of each corner in the pattern S of the twisted product.
+TWIST = (-1, -1, 1, -1)
+#: The composable corner pairs (a, b, a·b) of the Peirce grading, by index
+#: into CORNERS: L·L, L·M, M·Mbar, M·R, Mbar·L, Mbar·M, R·Mbar, R·R.
+CORNER_PRODUCTS = ((0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 3, 1),
+                   (2, 0, 2), (2, 1, 3), (3, 2, 2), (3, 3, 3))
 _MATRIX_LEAVES_SPAN = "block matrix leaves the embedding span"
 
 
@@ -87,6 +93,18 @@ class BlockEmbedding:
         return (l.conj(), l), (m_pinv, m), (m_pinv, m), (r.conj(), r)
 
     @cached_property
+    def corner_blocks(self):
+        """(rows, columns) of each corner [L | M | Mbar | R] in a block matrix."""
+        top, bottom = slice(0, self.rows), slice(self.rows, self.rows + self.cols)
+        return (top, top), (top, bottom), (bottom, top), (bottom, bottom)
+
+    @cached_property
+    def corner_stacks(self):
+        """Basis matrices of each corner; the Mbar corner's are the m_i*."""
+        return (self.l_stack, self.m_stack,
+                np.swapaxes(self.m_stack, -1, -2).conj(), self.r_stack)
+
+    @cached_property
     def unit(self):
         """The block matrix diag(P, Q) of the support projections."""
         r = self.rows
@@ -97,8 +115,9 @@ class BlockEmbedding:
     @cached_property
     def _twist(self):
         # sign pattern S = [[-1, -1], [+1, -1]] of the twisted product
-        s = -np.ones((self.rows + self.cols,) * 2)
-        s[self.rows:, :self.rows] = 1.0
+        s = np.empty((self.rows + self.cols,) * 2)
+        for (rows, cols), sign in zip(self.corner_blocks, TWIST):
+            s[rows, cols] = sign
         return s
 
     def slots(self, coords):
@@ -110,32 +129,46 @@ class BlockEmbedding:
 
         The Mbar slot holds the lower-left corner over {m_i*}.
         """
-        r, c = self.rows, self.cols
-        la, ma, wa, ra = self.slots(coords)
-        out = np.zeros(la.shape[:-1] + (r + c, r + c), dtype=np.complex128)
-        out[..., :r, :r] = np.tensordot(la, self.l_stack, axes=([-1], [0]))
-        out[..., :r, r:] = np.tensordot(ma, self.m_stack, axes=([-1], [0]))
-        star = np.swapaxes(self.m_stack, -1, -2).conj()
-        out[..., r:, :r] = np.tensordot(wa, star, axes=([-1], [0]))
-        out[..., r:, r:] = np.tensordot(ra, self.r_stack, axes=([-1], [0]))
+        slots = self.slots(coords)
+        out = np.zeros(slots[0].shape[:-1] + (self.rows + self.cols,) * 2, dtype=np.complex128)
+        for (rows, cols), a, stack in zip(self.corner_blocks, slots, self.corner_stacks):
+            out[..., rows, cols] = np.tensordot(a, stack, axes=([-1], [0]))
         return out
+
+    def corner_coords(self, k, mats):
+        """Coordinates (..., d_k) of matrices in corner k, and their largest
+        distance from the corner span."""
+        pinv, basis = self._projectors[k]
+        if k == 2:
+            # lower-left corner: X = sum_i s_i m_i*  <=>  X* = sum_i conj(s_i) m_i
+            mats = np.swapaxes(mats, -1, -2).conj()
+        flat = mats.reshape(mats.shape[:-2] + (basis.shape[1],))
+        coords = flat @ pinv.T
+        resid = float(np.linalg.norm(coords @ basis - flat, axis=-1).max(initial=0.0))
+        return (coords.conj() if k == 2 else coords), resid
 
     def split(self, big):
         """This block's coordinates (..., dim) of big block matrices, and the
         largest distance of a corner from its corner span."""
-        r = self.rows
-        # lower-left corner: X = sum_i s_i m_i*  <=>  X* = sum_i conj(s_i) m_i
-        corners = (big[..., :r, :r], big[..., :r, r:],
-                   np.swapaxes(big[..., r:, :r], -1, -2).conj(), big[..., r:, r:])
-        out, resid = [], 0.0
-        for mats, (pinv, basis) in zip(corners, self._projectors):
-            flat = mats.reshape(mats.shape[:-2] + (basis.shape[1],))
-            coords = flat @ pinv.T
-            resid = max(resid, float(np.linalg.norm(coords @ basis - flat, axis=-1)
-                                     .max(initial=0.0)))
-            out.append(coords)
-        out[2] = out[2].conj()
-        return np.concatenate(out, axis=-1), resid
+        out, resid = zip(*(self.corner_coords(k, big[..., rows, cols])
+                           for k, (rows, cols) in enumerate(self.corner_blocks)))
+        return np.concatenate(out, axis=-1), max(resid)
+
+    def corner_products(self, y, x, t, coords, left):
+        """Coordinates (n, d_y, d_t) of the products of corner y's basis with
+        the corner-x matrices of ``coords`` (n, d_x), basis first when
+        ``left``, in their product corner t; InvalidInput when one leaves it.
+
+        On a -1 block the sign pattern S is constant on each corner, so the
+        twisted product of corner matrices is the ordinary one times the
+        signs of x, y and t."""
+        basis, stack = self.corner_stacks[y][None], self.corner_stacks[x]
+        mats = (coords @ stack.reshape(len(stack), -1)).reshape((-1, 1) + stack.shape[1:])
+        prods = basis @ mats if left else mats @ basis
+        if self.sign < 0:
+            prods *= TWIST[x] * TWIST[y] * TWIST[t]
+        return _span_coords(lambda a: self.corner_coords(t, a), prods, DEFAULT_TOL,
+                            _MATRIX_LEAVES_SPAN)
 
     def mul_big(self, a, b):
         """Product of materialized block matrices under this block's rule;
@@ -445,34 +478,12 @@ class PeirceCorners:
     r: np.ndarray
 
     @property
+    def parts(self):
+        return self.l, self.m, self.mbar, self.r
+
+    @property
     def dims(self):
-        return (self.l.shape[1], self.m.shape[1], self.mbar.shape[1], self.r.shape[1])
-
-
-def _assoc_ideal_residual(e: StandardEmbedding, span: np.ndarray) -> float:
-    """Worst residual of basis products e_i s_j, s_j e_i against span.
-
-    Each block multiplies its materialized basis with the span rows' block
-    matrices, in both orders; a basis element of one block times a row's
-    part in another is zero, so those products are never formed.  About
-    SPAN_CHUNK_ROWS / 4 rows a batch, as this check sets the peak memory of
-    an ideal's embedding.
-    """
-    d = e.dim
-    bases = [b.materialize(np.eye(b.dim, dtype=np.complex128))[None] for b in e.blocks]
-
-    def groups():
-        for s in mk.span_chunks(span, 4 * d):
-            mats = [b.materialize(s[:, sl])[:, None] for b, sl in zip(e.blocks, e.block_slices)]
-            for left in (True, False):
-                # [row j, basis i]: coordinates of e_i s_j, then of s_j e_i
-                prods = np.zeros((len(s), d, d), dtype=np.complex128)
-                for b, sl, basis, mat in zip(e.blocks, e.block_slices, bases, mats):
-                    big = b.mul_big(basis, mat) if left else b.mul_big(mat, basis)
-                    prods[:, sl, sl] = _span_coords(b.split, big, DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
-                yield prods
-
-    return mk.span_residual(groups(), span)
+        return tuple(p.shape[1] for p in self.parts)
 
 
 def _corner_part(span: np.ndarray, idx: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -489,18 +500,83 @@ def _corner_part(span: np.ndarray, idx: np.ndarray, tol: float = DEFAULT_TOL) ->
     return part
 
 
+def _corner_parts(e: StandardEmbedding, span: np.ndarray) -> PeirceCorners:
+    """The four corner parts of a span with orthonormal columns (see
+    ``_corner_part``); their dimensions add up to the span's exactly when
+    the span is graded by the corners."""
+    return PeirceCorners(*(_corner_part(span, e.corner_indices[c]) for c in CORNERS))
+
+
+def _corner_groups(e: StandardEmbedding, corners: PeirceCorners, x: int, left: bool):
+    """The products of corner x's part columns with the basis, the basis
+    first when ``left``, as (rows, cols, groups, q).
+
+    The algebra is graded by the corners, so a column of part x has nonzero
+    products only with the basis of the two corners composable with x on
+    that side, each product in one corner of its block (``CORNER_PRODUCTS``).
+    ``rows`` and ``cols`` are the embedding coordinates of those two basis
+    corners and of their two product corners; a group of (n, rows, cols)
+    holds column j's product with basis element rows[i] at [j, i], formed on
+    corner blocks by ``BlockEmbedding.corner_products``.  ``q`` is the two
+    product parts on ``cols``: zero outside their corners, so reading a
+    product against it is reading it against the sum of all the parts.
+    """
+    idx = e.corner_indices
+    # (basis corner, product corner) of each composable pair with x
+    pairs = [(a if left else b, t) for a, b, t in CORNER_PRODUCTS if (b if left else a) == x]
+    rows, cols = (np.concatenate([idx[CORNERS[pair[k]]] for pair in pairs]) for k in (0, 1))
+    q = np.hstack([corners.parts[t] for _, t in pairs])[cols]
+    # [block][corner]: the block's coordinates among the corner's
+    cuts = np.cumsum([(0,) * len(CORNERS)] + [b.dims for b in e.blocks], axis=0)
+    within = [[slice(lo, hi) for lo, hi in zip(*ends)] for ends in zip(cuts[:-1], cuts[1:])]
+    starts = [np.cumsum([0] + [len(idx[CORNERS[pair[k]]]) for pair in pairs]) for k in (0, 1)]
+    part = corners.parts[x][idx[CORNERS[x]]]
+
+    def groups():
+        for s in mk.span_chunks(part, len(rows)):
+            group = np.zeros((len(s), len(rows), len(cols)), dtype=np.complex128)
+            for (y, t), r0, c0 in zip(pairs, *starts):
+                block = group[:, r0:, c0:]
+                for b, at in zip(e.blocks, within):
+                    block[:, at[y], at[t]] = b.corner_products(y, x, t, s[:, at[x]], left)
+            yield group
+
+    return rows, cols, groups(), q
+
+
+def _assoc_ideal_residual(e: StandardEmbedding, corners: PeirceCorners) -> float:
+    """Worst residual of the basis products e_i s and s e_i against the sum
+    of the corner parts, s over the parts' columns: each corner's columns
+    in each order, as ``_corner_groups`` forms them, through
+    ``matkernel.span_residual``.  A group holds one column's products in one
+    order, so the residual equals the per-column one of the products formed
+    as whole block matrices (by ``mul_coords``) on the parts' columns.
+    """
+    return max((mk.span_residual(groups, q)
+                for x in range(len(CORNERS)) for left in (True, False)
+                for _, _, groups, q in [_corner_groups(e, corners, x, left)]), default=0.0)
+
+
 def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners:
-    """Split a verified ideal into its four corner parts (see ``_corner_part``),
-    whose dimensions must add up to the ideal's: a span that is not graded
-    by the corners has more, and raises DecompositionInconclusive."""
+    """Split an ideal into its four corner parts (see ``_corner_part``).
+
+    Every ideal is graded by the corners, as the corner units P and Q of
+    each block lie in the algebra, so a span whose parts' dimensions do not
+    add up to its own raises NotAnIdeal before any product is formed; the
+    parts then pass the graded product check and the M part the ternary
+    ideal check.  A span whose columns do not have ``e.dim`` entries raises
+    ShapeError.
+    """
     span = mk.colspace(np.asarray(span, dtype=np.complex128), DEFAULT_TOL)
-    resid = _assoc_ideal_residual(e, span)
+    if span.shape[0] != e.dim:
+        raise ShapeError(f"span has {span.shape[0]} rows, the embedding {e.dim} dimensions")
+    corners = _corner_parts(e, span)
+    if sum(corners.dims) != span.shape[1]:
+        raise NotAnIdeal(f"subspace is not graded by the Peirce corners: parts {corners.dims} "
+                         f"do not add up to {span.shape[1]}")
+    resid = _assoc_ideal_residual(e, corners)
     if resid > tol:
         raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
-    corners = PeirceCorners(*(_corner_part(span, e.corner_indices[c]) for c in CORNERS))
-    if sum(corners.dims) != span.shape[1]:
-        raise DecompositionInconclusive(
-            f"corner dimensions {corners.dims} do not add up to {span.shape[1]}")
     # the M-corner must be a ternary ideal of the base space
     mcols = corners.m[e.corner_indices["M"], :]
     resid = _ternary_ideal_residual(e.base, mcols)
@@ -511,8 +587,11 @@ def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners
 
 
 def _ternary_ideal_residual(m: TernarySpace, span: np.ndarray) -> float:
-    """Worst projection residual of [MMS], [SMM], [MSM] against span(S)."""
+    """Worst projection residual of [MMS], [SMM], [MSM] against span(S);
+    ShapeError when the columns of S do not have ``m.dim`` entries."""
     q = mk.colspace(span)
+    if q.shape[0] != m.dim:
+        raise ShapeError(f"span has {q.shape[0]} rows, the space {m.dim} dimensions")
     chunks = mk.span_chunks(q, 3 * m.dim ** 2)
     return mk.span_residual((_ideal_products(m, s) for s in chunks), q)
 

@@ -103,8 +103,11 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
     orthonormal column basis in embedding coordinates, verified as an
     associative ideal by ``peirce_split`` (NotAnIdeal otherwise, so a
     subspace that is no ternary ideal is rejected there); the Peirce
-    corners of the result are exactly the four constituents.
+    corners of the result are exactly the four constituents.  An ideal of
+    another space than ``e.base`` raises NotAnIdeal.
     """
+    if not _same_space(ideal.parent, e.base):
+        raise NotAnIdeal("ideal does not belong to the embedded space")
     placed = np.zeros((2, ideal.dim, e.dim), dtype=np.complex128)
     placed[0][:, e.corner_indices["M"]] = ideal.basis.T
     placed[1][:, e.corner_indices["Mbar"]] = ideal.basis.T.conj()
@@ -115,8 +118,7 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
         raise NotAnIdeal(f"L(I) or R(I) escapes its corner span: {exc}") from None
     span = mk.colspace(np.concatenate([*placed, *lr]).T)
     corners = peirce_split(e, span, tol=max(tol, 1e-8))
-    expect = (span.shape[1] - 2 * ideal.dim) == corners.dims[0] + corners.dims[3]
-    if not (corners.dims[1] == corners.dims[2] == ideal.dim and expect):
+    if not corners.dims[1] == corners.dims[2] == ideal.dim:
         raise NotAnIdeal(f"Peirce corners {corners.dims} do not match the ideal")
     return span
 

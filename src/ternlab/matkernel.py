@@ -80,6 +80,18 @@ def solve_linear(a, b, tol: float = DEFAULT_TOL):
 WIDE_QR_MIN_ENTRIES = 1024
 
 
+def _svd(m, full_matrices):
+    """SVD of a non-empty m; InvalidInput when m has a non-finite entry, which
+    leaves a non-finite largest singular value or stops the SVD."""
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        raise InvalidInput("matrix has non-finite entries (the SVD did not converge)") from None
+    if not np.isfinite(s[0]):
+        raise InvalidInput("matrix has non-finite entries")
+    return u, s, vh
+
+
 def colspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of a 2-D ``a``.
 
@@ -89,7 +101,7 @@ def colspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = Rᵀ Qᵀ, where Qᵀ has orthonormal rows, so a has the left singular
     vectors and singular values of Rᵀ, and the m x n Vᴴ that only the thin
     SVD of ``a`` would form is never computed.  Raises ShapeError for
-    anything that is not 2-D.
+    anything that is not 2-D and InvalidInput for non-finite entries.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -99,7 +111,7 @@ def colspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     rows, cols = m.shape
     if cols >= 2 * rows and rows * cols >= WIDE_QR_MIN_ENTRIES:
         m = np.linalg.qr(m.T, mode="r").T
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = _svd(m, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((rows, 0), dtype=np.complex128)
     rank = int(np.sum(s > tol * s[0]))
@@ -107,13 +119,14 @@ def colspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def nullspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the right nullspace of ``a``."""
+    """Orthonormal basis (columns) of the right nullspace of ``a``;
+    InvalidInput for non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     # a tall matrix's thin Vᴴ is already square; only a wide one needs the full Vᴴ
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    if s.size == 0 or s[0] == 0.0:
+    _, s, vh = _svd(m, full_matrices=m.shape[0] < m.shape[1])
+    if s[0] == 0.0:
         return np.eye(m.shape[1], dtype=np.complex128)
     rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T

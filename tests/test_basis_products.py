@@ -2,7 +2,7 @@
 
 ``ternary._ideal_products`` forms [e_i e_k s], [s e_i e_k] and [e_i s e_k]
 from each presentation's own data, and ``embedding._assoc_ideal_residual``
-forms e_i s and s e_i block by block.  The references below form the same
+forms e_i s and s e_i on the corner parts of s, corner block by corner block.  The references below form the same
 products as generic products of broadcast one-hot batches, through
 ``_triple_coords`` and ``mul_coords``.
 """
@@ -84,5 +84,7 @@ def test_assoc_ideal_residual_matches_mul_coords(catalog):
         spans = [idl.embed_ideal(e, ideal), corner,
                  *(mk.colspace(_random_rows(rng, n, e.dim).T) for n in (1, 3))]
         for span in spans:
-            want = _assoc_reference(e, span)
-            assert abs(emb._assoc_ideal_residual(e, span) - want) <= REL * max(1.0, want), name
+            # the kernel reads a span's corner parts: a random span's graded hull
+            corners = emb._corner_parts(e, span)
+            want = _assoc_reference(e, np.hstack(corners.parts))
+            assert abs(emb._assoc_ideal_residual(e, corners) - want) <= REL * max(1.0, want), name

@@ -6,7 +6,7 @@ from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
 from ternlab import ternary as tern
-from ternlab.errors import NormUnavailable, NotAnIdeal, ShapeError
+from ternlab.errors import InvalidInput, NormUnavailable, NotAnIdeal, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,33 @@ def test_one_dimensional_span_is_a_shape_error():
         idl.is_ideal(m, e11)
     with pytest.raises(ShapeError):
         idl.TernaryIdeal(m, e11)
+
+
+def test_span_with_the_wrong_number_of_rows_is_a_shape_error():
+    m = tern.full_matrix_space(2, 2, +1)
+    e = emb.build_embedding(m)
+    for rows in (3, 5, e.dim):
+        with pytest.raises(ShapeError, match="rows"):
+            idl.is_ideal(m, np.eye(rows, 1, dtype=np.complex128))
+    for rows in (m.dim, e.dim + 1):
+        with pytest.raises(ShapeError, match="rows"):
+            emb.peirce_split(e, np.eye(rows, 1, dtype=np.complex128))
+
+
+def test_nonfinite_spans_are_invalid_input():
+    # an infinite column used to pass is_ideal, make a 0-dimensional ideal
+    # and split into the zero ideal
+    m = tern.full_matrix_space(2, 2, +1)
+    e = emb.build_embedding(m)
+    for bad in (np.inf, -np.inf, np.nan):
+        col, big = np.zeros((m.dim, 1)), np.zeros((e.dim, 1))
+        col[0] = big[e.corner_indices["M"][0]] = bad
+        with pytest.raises(InvalidInput):
+            idl.is_ideal(m, col)
+        with pytest.raises(InvalidInput):
+            idl.TernaryIdeal(m, col)
+        with pytest.raises(InvalidInput):
+            emb.peirce_split(e, big)
 
 
 def test_is_ideal_rejects_corner_span():
@@ -84,6 +111,21 @@ def test_embed_ideal_rejects_non_ideal():
     e11[0] = 1.0  # span{E11} is no ternary ideal of full(2, 2, +1)
     with pytest.raises(NotAnIdeal):
         idl.embed_ideal(emb.build_embedding(m), idl.TernaryIdeal(m, e11))
+
+
+def test_embed_ideal_rejects_ideal_of_another_space():
+    m = tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))
+    e = emb.build_embedding(m)
+    # another dimension: used to fail in numpy's broadcasting
+    nine = tern.full_matrix_space(3, 3, +1)
+    with pytest.raises(NotAnIdeal, match="does not belong"):
+        idl.embed_ideal(e, _first_coordinate(nine))
+    # the same dimension: used to be embedded by its coordinates alone
+    with pytest.raises(NotAnIdeal, match="does not belong"):
+        idl.embed_ideal(e, _first_coordinate(tern.diagonal_space(2, +1)))
+    # a second copy of the same presentation is the same space
+    twin = tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))
+    assert idl.embed_ideal(e, _first_coordinate(twin)).shape[1] == 4
 
 
 def test_embed_ideal_random(catalog):

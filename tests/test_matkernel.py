@@ -118,3 +118,20 @@ def test_wide_colspace_matches_thin_svd():
         assert got.shape == want.shape
         assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
         assert mk.subspace_distance(got, want) <= 1e-10
+
+
+def test_subspaces_reject_nonfinite_entries():
+    # an infinite entry used to give an empty basis or the whole space, and a
+    # NaN numpy's "SVD did not converge"
+    rng = np.random.default_rng(23)
+    wide = rng.standard_normal((20, 100))
+    wide[3, 7] = np.inf
+    for bad in ([[np.inf], [1.0]], [[np.nan], [1.0]], [[1.0, -np.inf]],
+                [[complex(1.0, np.inf)]], [[np.nan, np.nan]], wide):
+        for kernel in (mk.colspace, mk.nullspace):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                kernel(bad)
+    # finite input, empty or zero, is unchanged
+    assert mk.colspace(np.zeros((3, 0))).shape == (3, 0)
+    assert mk.colspace(np.zeros((3, 2))).shape == (3, 0)
+    assert mk.nullspace(np.zeros((1, 2))).shape == (2, 2)

@@ -7,7 +7,12 @@ rows in that corner.  The references below compute the parts as
 intersections (a nullspace of the rows outside the corner, then a column
 space), and the corner units P and Q of ``build_embedding`` as the
 projections onto the eigenvectors of sum x x* above 1e-10 of the largest.
+The graded ideal check forms only the composable corner products of the
+parts; its product groups are compared with the products of whole block
+matrices that ``mul_coords`` forms.
 """
+
+import itertools
 
 import numpy as np
 
@@ -70,6 +75,50 @@ def test_peirce_parts_match_intersections(catalog):
                 assert not np.delete(part, keep, axis=0).any(), name
             checked += 1
     assert checked >= 40
+
+
+def _graded_spans(e, rng):
+    """The embedded ideal of each block's first coordinate, and the graded
+    hull of a random 2-dimensional span."""
+    m, eye = e.base, np.eye(e.base.dim, dtype=np.complex128)
+    spans = [idl.embed_ideal(e, idl.generated_ideal(m, [eye[sl.start]])) for sl in m.block_slices]
+    hull = emb._corner_parts(e, mk.colspace(rng.standard_normal((e.dim, 2))
+                                            + 1j * rng.standard_normal((e.dim, 2))))
+    return spans + [np.hstack(hull.parts)]
+
+
+def test_corner_groups_match_block_matrix_products(catalog):
+    """Each group of the graded check against the products of its columns
+    with the whole basis formed as block matrices by ``mul_coords``: equal on
+    the group's rows and columns and zero elsewhere, so no composable pair is
+    missing, misplaced or of the wrong sign."""
+    rng = np.random.default_rng(2101)
+    checked = set()
+    for name, m in _block_spaces(catalog):
+        e = emb.build_embedding(m)
+        eye = np.eye(e.dim, dtype=np.complex128)
+        signs = {b.sign for b in e.blocks}
+        for span in _graded_spans(e, rng):
+            corners = emb._corner_parts(e, span)
+            every = np.hstack(corners.parts)
+            for x, left in itertools.product(range(4), (True, False)):
+                rows, cols, groups, q = emb._corner_groups(e, corners, x, left)
+                got = np.concatenate(list(groups) or [np.zeros((0, len(rows), len(cols)))])
+                part = corners.parts[x]
+                assert len(got) == part.shape[1]
+                for j, s in enumerate(part.T):
+                    s = np.broadcast_to(s, eye.shape)
+                    want = e.mul_coords(eye, s) if left else e.mul_coords(s, eye)
+                    scale = max(1.0, float(np.abs(want).max()))
+                    assert np.abs(got[j] - want[np.ix_(rows, cols)]).max() <= TOL * scale, name
+                    want[np.ix_(rows, cols)] = 0.0
+                    assert np.abs(want).max() <= TOL * scale, name
+                    checked.update((x, left, sign) for sign in signs)
+                # the product parts on cols: the projection onto all the parts there
+                assert np.abs(q @ q.conj().T - (every @ every.conj().T)[np.ix_(cols, cols)]
+                              ).max() <= TOL, name
+    # every corner in both orders on both signs
+    assert len(checked) == 16
 
 
 def test_radical_parts_match_intersections():

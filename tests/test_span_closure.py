@@ -3,6 +3,8 @@
 The reference functions below form the basis products of one span column
 at a time, as the ideal checks did before they shared
 ``matkernel.span_residual``; the library versions must agree with them.
+The Peirce check reads a span's corner parts, so its reference runs on the
+parts' columns, with the products formed as whole block matrices.
 They also pin the kernels' short cuts: ``span_residual`` read on the
 complement of a wide span, and ``generated_ideal`` skipping a chunk whose
 residual against the current basis is within tolerance.
@@ -17,7 +19,7 @@ from ternlab import ideals as idl
 from ternlab import matkernel as mk
 from ternlab import radical as rad
 from ternlab import ternary as tern
-from ternlab.errors import DecompositionInconclusive
+from ternlab.errors import DecompositionInconclusive, NotAnIdeal
 
 TOL = 1e-12
 
@@ -90,6 +92,15 @@ def _check_ternary(m, spans):
         assert idl.is_ideal(m, span) == (want <= idl.DEFAULT_TOL)
 
 
+def _check_assoc(e, span):
+    """The graded Peirce check on a span's corner parts against the
+    per-column reference on the parts' columns; the residual it returns."""
+    corners = emb._corner_parts(e, span)
+    want = _assoc_reference(e, np.hstack(corners.parts))
+    assert abs(emb._assoc_ideal_residual(e, corners) - want) <= TOL
+    return want
+
+
 def _check_space(m):
     e0 = np.eye(m.dim, dtype=np.complex128)[0]
     ideal = idl.generated_ideal(m, [e0])
@@ -103,15 +114,19 @@ def _check_space(m):
     eye = np.eye(e.dim, dtype=np.complex128)
     idx = e.corner_indices
     corner = eye[:, idx["M"]]
-    # the first block row L ⊕ M is a right ideal and the first block column
-    # L ⊕ Mbar a left one: each passes one of the two product orders only
+    # the block rows L ⊕ M form a right ideal and the block columns L ⊕ Mbar
+    # a left one: each passes one of the two product orders only
     row = eye[:, np.concatenate([idx["L"], idx["M"]])]
     column = eye[:, np.concatenate([idx["L"], idx["Mbar"]])]
     embedded = idl.embed_ideal(e, ideal)
     for span in (embedded, corner, row, column):
-        want = _assoc_reference(e, span)
-        assert abs(emb._assoc_ideal_residual(e, span) - want) <= TOL
+        resid = _check_assoc(e, span)
         assert _audit_passes(a, span) == _audit_reference(a, span)
+        assert (resid > 0.5) == (span is not embedded)
+    # the ideal of each block's first coordinate
+    for sl in m.block_slices[1:]:
+        span = idl.embed_ideal(e, idl.generated_ideal(m, [np.eye(m.dim)[sl.start]]))
+        assert _check_assoc(e, span) <= TOL
     return embedded, e
 
 
@@ -126,11 +141,47 @@ def test_span_closure_matches_reference_on_catalog(catalog):
         _check_ternary(s, (ideal, e0[:, None]))
 
 
+def test_span_graded_by_corner_but_not_by_block():
+    # the diagonal of two copies of full(2, 2, +1): each vector lies in one
+    # corner, yet no block's unit keeps it
+    m = tern.direct_sum(tern.full_matrix_space(2, 2, +1), tern.full_matrix_space(2, 2, +1))
+    e = emb.build_embedding(m)
+    first, second = e.block_slices
+    diagonal = np.zeros((e.dim, first.stop), dtype=np.complex128)
+    diagonal[first] = diagonal[second] = np.eye(first.stop) / np.sqrt(2)
+    assert emb._corner_parts(e, diagonal).dims == (4, 4, 4, 4)
+    assert abs(_check_assoc(e, diagonal) - 0.5 / np.sqrt(2)) <= TOL
+    with pytest.raises(NotAnIdeal, match="ideal check"):
+        emb.peirce_split(e, diagonal)
+
+
+def test_ungraded_span_fails_before_any_product(catalog, monkeypatch):
+    def boom(*args):
+        raise AssertionError("an ungraded span needs no product")
+
+    monkeypatch.setattr(emb, "_assoc_ideal_residual", boom)
+    for name, m in catalog:
+        e = emb.build_embedding(m)
+        idx = e.corner_indices
+        # the first M and Mbar coordinates summed: in no corner, so its parts
+        # have twice its dimension
+        v = np.zeros((e.dim, 1), dtype=np.complex128)
+        v[idx["M"][0]] = v[idx["Mbar"][0]] = 1.0
+        with pytest.raises(NotAnIdeal, match="not graded"):
+            emb.peirce_split(e, v)
+
+
 def test_span_closure_matches_reference_across_chunks():
-    m = tern.direct_sum(tern.full_matrix_space(4, 4, +1), tern.full_matrix_space(2, 2, -1))
-    embedded, e = _check_space(m)
+    # the three lattice spaces, f44p-f22m = full(4, 4, +1) ⊕ full(2, 2, -1) among them
+    checked = {name: _check_space(m) for name, m in lattice_spaces()}
+    embedded, e = checked["f44p-f22m"]
+    m = e.base
     assert embedded.shape[1] == 64
-    assert embedded.shape[1] > mk.SPAN_CHUNK_ROWS // (2 * e.dim)
+    # a corner column's group has about d / 2 rows, so at the default chunk
+    # size every part fits one chunk; a smaller one splits them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mk, "SPAN_CHUNK_ROWS", 2 * e.dim)
+        assert _check_assoc(e, embedded) <= TOL
     # generators in both blocks: the first round spans more than one chunk
     gens = list(np.eye(m.dim, dtype=np.complex128)[[0, 5, 10, 16]])
     ideal = idl.generated_ideal(m, gens)
