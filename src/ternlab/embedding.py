@@ -500,11 +500,12 @@ def _corner_part(span: np.ndarray, idx: np.ndarray, tol: float = DEFAULT_TOL) ->
     return part
 
 
-def _corner_parts(e: StandardEmbedding, span: np.ndarray) -> PeirceCorners:
+def _corner_parts(e: StandardEmbedding, span: np.ndarray,
+                  tol: float = DEFAULT_TOL) -> PeirceCorners:
     """The four corner parts of a span with orthonormal columns (see
     ``_corner_part``); their dimensions add up to the span's exactly when
     the span is graded by the corners."""
-    return PeirceCorners(*(_corner_part(span, e.corner_indices[c]) for c in CORNERS))
+    return PeirceCorners(*(_corner_part(span, e.corner_indices[c], tol) for c in CORNERS))
 
 
 def _corner_groups(e: StandardEmbedding, corners: PeirceCorners, x: int, left: bool):
@@ -561,16 +562,16 @@ def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners
     """Split an ideal into its four corner parts (see ``_corner_part``).
 
     Every ideal is graded by the corners, as the corner units P and Q of
-    each block lie in the algebra, so a span whose parts' dimensions do not
-    add up to its own raises NotAnIdeal before any product is formed; the
-    parts then pass the graded product check and the M part the ternary
-    ideal check.  A span whose columns do not have ``e.dim`` entries raises
-    ShapeError.
+    each block lie in the algebra, so a span whose parts, cut at ``tol``, do
+    not add up to its own dimension raises NotAnIdeal before any product is
+    formed; the parts then pass the graded product check and the M part the
+    ternary ideal check.  A span whose columns do not have ``e.dim`` entries
+    raises ShapeError.
     """
     span = mk.colspace(np.asarray(span, dtype=np.complex128), DEFAULT_TOL)
     if span.shape[0] != e.dim:
         raise ShapeError(f"span has {span.shape[0]} rows, the embedding {e.dim} dimensions")
-    corners = _corner_parts(e, span)
+    corners = _corner_parts(e, span, tol)
     if sum(corners.dims) != span.shape[1]:
         raise NotAnIdeal(f"subspace is not graded by the Peirce corners: parts {corners.dims} "
                          f"do not add up to {span.shape[1]}")

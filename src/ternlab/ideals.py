@@ -12,13 +12,20 @@ hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from . import matkernel as mk
-from .embedding import StandardEmbedding, _ternary_ideal_residual, peirce_split
-from .errors import InvalidInput, NotAnIdeal
+from .embedding import (
+    CORNERS,
+    PeirceCorners,
+    StandardEmbedding,
+    _assoc_ideal_residual,
+    _ternary_ideal_residual,
+)
+from .errors import InvalidInput, NotAnIdeal, ShapeError
 from .ternary import (
     TernarySpace,
     _empty_space,
@@ -34,19 +41,28 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TernaryIdeal:
-    """A subspace closed under [MMI], [IMM] and [MIM]."""
+    """A subspace closed under [MMI], [IMM] and [MIM]; a basis whose
+    columns do not have ``parent.dim`` entries raises ShapeError."""
 
     parent: TernarySpace
     basis: np.ndarray  # columns, coordinates in the parent basis
 
     def __post_init__(self):
         b = mk.colspace(np.asarray(self.basis, dtype=np.complex128))
+        if b.shape[0] != self.parent.dim:
+            raise ShapeError(f"basis has {b.shape[0]} rows, the space {self.parent.dim} dimensions")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def residual(self) -> float:
+        """The ternary ideal residual of the basis (``_ternary_ideal_residual``),
+        computed once; ``generated_ideal`` records it from its closing round."""
+        return _ternary_ideal_residual(self.parent, self.basis)
 
 
 def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
@@ -56,7 +72,12 @@ def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
     automatic in an exact C*-ternary ring; numerically non-closed
     inputs should not get a free pass.  The products are divided by the
     data scale (see ``_ideal_products``), so the verdict is scale-free.
+    A ``TernaryIdeal`` of m is judged by its ``residual``.
     """
+    if isinstance(span, TernaryIdeal):
+        if _same_space(span.parent, m):
+            return span.residual <= tol
+        span = span.basis
     return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= tol
 
 
@@ -74,24 +95,36 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
     σ_1 <= ||[Q | P]||_F.  When ||R||_F <= tol and tol ||[Q | P]||_F < 1,
     ``colspace``'s rank rule (σ_i > tol σ_1) would keep exactly k columns,
     so the chunk is skipped; otherwise Q becomes colspace([Q | P]).
+
+    A closing round that skips every chunk has formed the products of the
+    returned span and their residuals, so it records the ideal's ``residual``
+    in ``span_residual``'s measure (per pattern and span row).
     """
     gens = gens if isinstance(gens, (list, tuple)) else np.atleast_2d(gens)
     cols = [as_coords(m, g) for g in gens]
     span = mk.colspace(np.stack(cols, axis=1) if cols else
                        np.zeros((m.dim, 0), dtype=np.complex128), tol)
     d = m.dim
+    closing = None  # the round's residual while it has merged no chunk
     while 0 < span.shape[1] < d:
-        grown = span
+        grown, closing = span, 0.0
         for s in mk.span_chunks(span, 3 * d * d):
             prods = _ideal_products(m, s).reshape(-1, d).T
-            resid = np.linalg.norm(prods - grown @ (grown.conj().T @ prods))
+            resid = prods - grown @ (grown.conj().T @ prods)
             frob = np.sqrt(grown.shape[1] + np.linalg.norm(prods) ** 2)
-            if resid > tol or tol * frob >= 1.0:
-                grown = mk.colspace(np.hstack([grown, prods]), tol)
+            if np.linalg.norm(resid) > tol or tol * frob >= 1.0:
+                grown, closing = mk.colspace(np.hstack([grown, prods]), tol), None
+            elif closing is not None:
+                # a group is one pattern and one row: d * d product columns
+                top = [np.abs(a).reshape(d, -1, d * d).max(axis=(0, 2)) for a in (resid, prods)]
+                closing = max(closing, float((top[0] / np.maximum(1.0, top[1])).max()))
         if grown.shape[1] == span.shape[1]:
             break
         span = grown
-    return TernaryIdeal(parent=m, basis=span)
+    ideal = TernaryIdeal(parent=m, basis=span)
+    if closing is not None:
+        vars(ideal)["residual"] = closing  # fills the cached property
+    return ideal
 
 
 def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
@@ -99,28 +132,35 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
     """The ideal L(I) ⊕ I ⊕ Ibar ⊕ R(I) inside the embedding.
 
     I sits in the M slot and Ibar in the Mbar slot; L(I) = span{x y*}
-    and R(I) = span{x* y} are their products in both orders.  Returns an
-    orthonormal column basis in embedding coordinates, verified as an
-    associative ideal by ``peirce_split`` (NotAnIdeal otherwise, so a
-    subspace that is no ternary ideal is rejected there); the Peirce
-    corners of the result are exactly the four constituents.  An ideal of
-    another space than ``e.base`` raises NotAnIdeal.
+    and R(I) = span{x* y} are their products in both orders, each in its
+    own corner.  Returns the four parts side by side, an orthonormal column
+    basis in embedding coordinates, once I passes ``is_ideal`` and the parts
+    pass the graded product check ``_assoc_ideal_residual`` (NotAnIdeal
+    otherwise).  An ideal of another space than ``e.base`` raises NotAnIdeal.
     """
     if not _same_space(ideal.parent, e.base):
         raise NotAnIdeal("ideal does not belong to the embedded space")
+    check_tol = max(tol, 1e-8)
+    if not is_ideal(e.base, ideal, check_tol):
+        raise NotAnIdeal("subspace fails the ternary ideal containments")
+    idx = e.corner_indices
     placed = np.zeros((2, ideal.dim, e.dim), dtype=np.complex128)
-    placed[0][:, e.corner_indices["M"]] = ideal.basis.T
-    placed[1][:, e.corner_indices["Mbar"]] = ideal.basis.T.conj()
+    placed[0][:, idx["M"]] = ideal.basis.T
+    placed[1][:, idx["Mbar"]] = ideal.basis.T.conj()
+    parts = {"M": placed[0].T, "Mbar": placed[1].T}
     try:
-        lr = [e.mul_coords(x[:, None], y[None], tol).reshape(-1, e.dim)
-              for x, y in (placed, placed[::-1])]
+        for corner, (x, y) in (("L", placed), ("R", placed[::-1])):
+            prods = e.mul_coords(x[:, None], y[None], tol)[..., idx[corner]]
+            q = mk.colspace(prods.reshape(-1, len(idx[corner])).T)
+            parts[corner] = np.zeros((e.dim, q.shape[1]), dtype=np.complex128)
+            parts[corner][idx[corner]] = q
     except InvalidInput as exc:
         raise NotAnIdeal(f"L(I) or R(I) escapes its corner span: {exc}") from None
-    span = mk.colspace(np.concatenate([*placed, *lr]).T)
-    corners = peirce_split(e, span, tol=max(tol, 1e-8))
-    if not corners.dims[1] == corners.dims[2] == ideal.dim:
-        raise NotAnIdeal(f"Peirce corners {corners.dims} do not match the ideal")
-    return span
+    corners = PeirceCorners(*(parts[c] for c in CORNERS))
+    resid = _assoc_ideal_residual(e, corners)
+    if resid > check_tol:
+        raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
+    return np.hstack(corners.parts)
 
 
 def _same_space(p: TernarySpace, m: TernarySpace) -> bool:
@@ -147,7 +187,7 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal,
     """
     if not _same_space(ideal.parent, m):
         raise NotAnIdeal("ideal does not belong to this space")
-    if not is_ideal(m, ideal.basis, max(tol, 1e-8)):
+    if not is_ideal(m, ideal, max(tol, 1e-8)):
         raise NotAnIdeal("subspace fails the ternary ideal containments")
     comp = mk.nullspace(ideal.basis.conj().T)
     if comp.shape[1] == 0:
@@ -158,7 +198,10 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal,
 
 
 def quotient_zettl_dims(m: TernarySpace, ideal: TernaryIdeal) -> tuple:
-    """Expected (plus, minus) dimensions of the quotient's splitting."""
+    """Expected (plus, minus) dimensions of the quotient's splitting; an
+    ideal of another space than m raises NotAnIdeal."""
+    if not _same_space(ideal.parent, m):
+        raise NotAnIdeal("ideal does not belong to this space")
     split = zettl_decompose(m)
     jp = mk.subspace_intersect(ideal.basis, split.plus_coords)
     jm = mk.subspace_intersect(ideal.basis, split.minus_coords)
@@ -192,8 +235,10 @@ def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
     coset norm from above for any subspace.  The lower bound evaluates
     a dual certificate at that coset: a unit-trace-norm functional
     vanishing on J.  ``seed`` is accepted and unused; the result is
-    deterministic.
+    deterministic.  An ideal of another space than m raises NotAnIdeal.
     """
+    if not _same_space(ideal.parent, m):
+        raise NotAnIdeal("ideal does not belong to this space")
     m._need_blocks("quotient_norm")
     fv = as_coords(m, f)
     j = ideal.basis

@@ -5,7 +5,7 @@
 input), and ``zettl_decompose`` judges the trace operator's spectrum
 relative to its norm.  Multiplying the blocks or c by any t then leaves the
 generated ideals, the ``is_ideal`` verdicts and the Zettl dimensions as
-they are at t = 1.
+they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
 """
 
 import io
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lattice_spaces, scaled, scramble
 from ternlab import cli
+from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import ternary as tern
 
@@ -79,3 +80,17 @@ def test_quotient_of_scaled_blocks_passes(catalog, tmp_path):
     details = json.loads(out.getvalue())["details"]
     assert (details["ideal_dim"], details["quotient_dim"]) == (4, 1)
     assert details["quotient_zettl_dims"] == details["expected_zettl_dims"] == [0, 1]
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 1e3])
+def test_embedded_ideal_keeps_its_corner_parts_at_every_scale(t):
+    # L(I) and R(I) are cut relative to their own products: with the blocks
+    # scaled by 1e-5 those are of size 1e-10, and a cut relative to the unit
+    # vectors of I would drop them
+    for name, m in lattice_spaces():
+        e, es = emb.build_embedding(m), emb.build_embedding(scaled(m, t))
+        for sl in m.block_slices:
+            gen = [np.eye(m.dim, dtype=np.complex128)[sl.start]]
+            want = emb._corner_parts(e, idl.embed_ideal(e, idl.generated_ideal(m, gen))).dims
+            got = idl.embed_ideal(es, idl.generated_ideal(es.base, gen))
+            assert emb._corner_parts(es, got).dims == want, name

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import lattice_spaces
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -47,6 +48,14 @@ def test_span_with_the_wrong_number_of_rows_is_a_shape_error():
     for rows in (m.dim, e.dim + 1):
         with pytest.raises(ShapeError, match="rows"):
             emb.peirce_split(e, np.eye(rows, 1, dtype=np.complex128))
+
+
+def test_ideal_basis_with_the_wrong_number_of_rows_is_a_shape_error():
+    # used to build an ideal of dimension 1 whose residual raised on first use
+    mixed = tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))
+    for rows in (1, 5):
+        with pytest.raises(ShapeError, match="rows"):
+            idl.TernaryIdeal(mixed, np.ones((rows, 1)))
 
 
 def test_nonfinite_spans_are_invalid_input():
@@ -308,14 +317,119 @@ def _embed_ideal_reference(e, ideal):
     return mk.colspace(np.stack(cols, axis=1))
 
 
+def _complex_basis_diagonal():
+    """diag(2, +1) on the basis E11 + E22, E11 + i E22, and its ideal
+    span{E11}, whose coordinates (1, i) / sqrt(2) are no real vector up to a
+    phase, so its conjugate spans another line."""
+    e11, e22 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    m = tern.TernarySpace.from_blocks([tern.SignedBlock(+1, 2, 2, (e11 + e22, e11 + 1j * e22))])
+    return m, idl.generated_ideal(m, [np.array([1.0, 1j])])
+
+
 def test_embed_ideal_matches_corner_reference(catalog):
-    for name, m in catalog:
+    # the parts come side by side, L, M, Mbar and R, each zero outside its corner
+    twisted, line = _complex_basis_diagonal()
+    assert line.dim == 1
+    cases = [(name, m, _block_first_coordinate_ideals(m)) for name, m in catalog]
+    for name, m, ideals in cases + [("diag-complex-basis", twisted, [line])]:
+        e = emb.build_embedding(m)
+        for ideal in ideals:
+            span = idl.embed_ideal(e, ideal)
+            want = emb._corner_parts(e, _embed_ideal_reference(e, ideal))
+            assert span.shape == (e.dim, sum(want.dims)), name
+            got = np.split(span, np.cumsum(want.dims)[:-1], axis=1)
+            for corner, part, ref in zip(emb.CORNERS, got, want.parts):
+                assert not np.delete(part, e.corner_indices[corner], axis=0).any(), name
+                assert mk.subspace_distance(part, ref) <= 1e-10, (name, corner)
+
+
+def test_each_ideal_is_checked_once(catalog, monkeypatch):
+    calls = []
+    fresh = idl._ternary_ideal_residual
+
+    def counted(*args):
+        calls.append(args)
+        return fresh(*args)
+
+    monkeypatch.setattr(idl, "_ternary_ideal_residual", counted)
+    spaces = [m for _, m in catalog if 0 < _first_coordinate(m).dim < m.dim]
+    spaces += [m for _, m in lattice_spaces()]
+    assert len(spaces) >= 8
+    for m in spaces:
         e = emb.build_embedding(m)
         for ideal in _block_first_coordinate_ideals(m):
-            span = idl.embed_ideal(e, ideal)
-            want = _embed_ideal_reference(e, ideal)
-            assert span.shape == want.shape, name
-            assert mk.subspace_distance(span, want) <= 1e-10, name
+            # generated_ideal records the residual of its closing round
+            del calls[:]
+            idl.embed_ideal(e, ideal)
+            idl.quotient(m, ideal)
+            assert not calls
+            # a hand-made ideal computes it once, on first use
+            made = idl.TernaryIdeal(m, ideal.basis)
+            idl.embed_ideal(e, made)
+            idl.quotient(m, made)
+            assert len(calls) == 1
+            assert idl.is_ideal(m, made) and len(calls) == 1
+
+
+def test_cached_residual_above_tol_is_rejected():
+    m = tern.direct_sum(tern.full_matrix_space(2, 2, +1), tern.scalar_space(-1))
+    e = emb.build_embedding(m)
+    ideal = _first_coordinate(m)
+    assert ideal.dim == 4 and ideal.residual <= 1e-14
+    idl.embed_ideal(e, ideal)
+    vars(ideal)["residual"] = 1e-6
+    assert not idl.is_ideal(m, ideal)
+    # the same basis handed in as an array is judged afresh
+    assert idl.is_ideal(m, ideal.basis)
+    with pytest.raises(NotAnIdeal, match="containments"):
+        idl.embed_ideal(e, ideal)
+    with pytest.raises(NotAnIdeal, match="containments"):
+        idl.quotient(m, ideal)
+
+
+def _nearly_closed_line(eps):
+    """C ⊕ C as structure constants with [e0 e0 e0] = e0 + eps e1: span{e0}
+    misses being an ideal by eps in each of its three product groups."""
+    c = tern.structure_constants_of(
+        tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(+1))).c.copy()
+    c[0, 0, 0, 1] = eps
+    return tern.TernarySpace.from_structure(c, validate=False)
+
+
+def test_generated_ideal_records_the_per_group_residual():
+    eps = 1e-9
+    m = _nearly_closed_line(eps)
+    e0 = np.eye(2, dtype=np.complex128)[0]
+    # ||R||_F = sqrt(3) eps <= tol: the one round skips its chunk and records
+    # the worst group, eps, not the chunk's Frobenius norm
+    ideal = idl.generated_ideal(m, [e0], tol=1e-6)
+    assert ideal.dim == 1
+    assert "residual" in vars(ideal)
+    assert abs(ideal.residual - eps) <= 1e-15
+    assert abs(ideal.residual - emb._ternary_ideal_residual(m, ideal.basis)) <= 1e-15
+    # at tol = 1e-9 the chunk is merged without growing the span: nothing is
+    # recorded, and the residual is computed on first use
+    ideal = idl.generated_ideal(m, [e0])
+    assert ideal.dim == 1
+    assert "residual" not in vars(ideal)
+    assert abs(ideal.residual - eps) <= 1e-15
+
+
+def test_quotient_norm_and_zettl_dims_reject_ideal_of_another_space():
+    e0 = np.eye(2, dtype=np.complex128)[0]
+    mixed = tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))
+    # another dimension: used to fail in numpy's concatenation
+    nine = _first_coordinate(tern.full_matrix_space(3, 3, +1))
+    # the same dimension: used to return an answer for the wrong space
+    diag = _first_coordinate(tern.diagonal_space(2, +1))
+    for ideal in (nine, diag):
+        with pytest.raises(NotAnIdeal, match="does not belong"):
+            idl.quotient_norm(mixed, ideal, e0)
+        with pytest.raises(NotAnIdeal, match="does not belong"):
+            idl.quotient_zettl_dims(mixed, ideal)
+    twin = _first_coordinate(tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1)))
+    assert idl.quotient_zettl_dims(mixed, twin) == (0, 1)
+    assert idl.quotient_norm(mixed, twin, e0).upper <= 1e-12
 
 
 def test_quotient_matches_pinv_coset_coordinates(catalog, monkeypatch):

@@ -257,3 +257,49 @@ def test_generated_ideal_skip_rule_matches_reference(catalog):
                 # structure constants): the closure takes the same steps at every t
                 assert (ideal.dim, calls) == unscaled
     assert closing >= 10
+
+
+def test_generated_ideal_records_the_residual_of_its_closing_round(catalog):
+    # the residual generated_ideal records from its closing round against the
+    # one _ternary_ideal_residual computes afresh on the returned basis
+    fresh = emb._ternary_ideal_residual
+
+    def boom(*args):
+        raise AssertionError("a recorded residual is not computed again")
+
+    recorded = 0
+    for name, m in catalog + lattice_spaces():
+        for space in (m, tern.as_structure_space(m)):
+            for sl in m.block_slices:
+                ideal = idl.generated_ideal(space, [np.eye(m.dim, dtype=np.complex128)[sl.start]])
+                want = fresh(space, ideal.basis)
+                with pytest.MonkeyPatch.context() as mp:
+                    if 0 < ideal.dim < m.dim:
+                        mp.setattr(idl, "_ternary_ideal_residual", boom)
+                        recorded += 1
+                    assert abs(ideal.residual - want) <= 1e-14, name
+    # the 22 proper block ideals, in both presentations
+    assert recorded == 44
+
+
+def test_peirce_split_grades_at_its_tol():
+    # every embedded block ideal of the lattice spaces with complex Gaussian
+    # noise of scale 1e-10 in every entry: its residual is far inside tol =
+    # 1e-8, and its parts cut at tol add up; cut at 1e-9, some did not
+    rng = np.random.default_rng(2201)
+    old_cut_rejects = 0
+    for name, m in lattice_spaces():
+        e = emb.build_embedding(m)
+        for sl in m.block_slices:
+            span = idl.embed_ideal(e, idl.generated_ideal(m, [np.eye(m.dim)[sl.start]]))
+            exact = emb._corner_parts(e, span)
+            noise = rng.standard_normal(span.shape) + 1j * rng.standard_normal(span.shape)
+            noisy = mk.colspace(span + 1e-10 * noise)
+            old_cut_rejects += sum(emb._corner_parts(e, noisy, 1e-9).dims) != span.shape[1]
+            parts = emb.peirce_split(e, noisy)
+            assert parts.dims == exact.dims, name
+            for got, want in zip(parts.parts, exact.parts):
+                assert mk.subspace_distance(got, want) <= 1e-9, name
+            with pytest.raises(NotAnIdeal):
+                emb.peirce_split(e, span + 1e-6 * noise)
+    assert old_cut_rejects >= 2
