@@ -61,9 +61,10 @@ _MATRIX_LEAVES_SPAN = "block matrix leaves the embedding span"
 class BlockEmbedding:
     """Corner data of the embedding of one signed block.
 
-    ``slots``, ``materialize`` and ``split`` are the only code that knows
-    a block's coordinate layout [L | M | Mbar | R]; everything else works
-    on whole (r+c)x(r+c) block matrices or on corner indices.
+    ``slots``, ``materialize``, ``split``, ``corner_coords`` and
+    ``corner_products`` are the only code that knows a block's coordinate
+    layout [L | M | Mbar | R]; everything else works on whole (r+c)x(r+c)
+    block matrices or on corner indices.
     """
 
     sign: int
@@ -250,14 +251,17 @@ class StandardEmbedding:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """``table[i, j]`` = coordinates of e_i e_j, built by ``mul_coords`` (so
-        every basis product passes its span check) about 1024 products a call."""
+        """``table[i, j]`` = coordinates of e_i e_j, built block by block from
+        the 8 composable corner products (``CORNER_PRODUCTS``), one batched
+        ``BlockEmbedding.corner_products`` call each, so every basis product
+        passes its corner's span check; all other entries are exactly 0."""
         d = self.dim
-        eye = np.eye(d, dtype=np.complex128)
-        table = np.empty((d, d, d), dtype=np.complex128)
-        step = max(1, 1024 // max(d, 1))
-        for i in range(0, d, step):
-            table[i:i + step] = self.mul_coords(eye[i:i + step, None], eye[None])
+        table = np.zeros((d, d, d), dtype=np.complex128)
+        for b, s in zip(self.blocks, self.block_slices):
+            at = b.slots(np.arange(s.start, s.stop))
+            for x, y, t in CORNER_PRODUCTS:
+                table[np.ix_(at[x], at[y], at[t])] = b.corner_products(
+                    y, x, t, np.eye(b.dims[x]), left=False)
         table.flags.writeable = False
         return table
 

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import cstar_identity_residual
+from conftest import cstar_identity_residual, lattice_spaces
 from ternlab import embedding as emb
 from ternlab import ternary as tern
-from ternlab.errors import DecompositionInconclusive, NormUnavailable, NotAnIdeal
+from ternlab.errors import (DecompositionInconclusive, InvalidInput, NormUnavailable,
+                             NotAnIdeal)
 
 EYE4 = np.eye(4, dtype=np.complex128)
 
@@ -194,14 +195,54 @@ def test_pi_homomorphism_and_injectivity(catalog):
                 1.0, np.abs(lhs).max(), np.abs(rhs).max())
 
 
+def _recombined(m, rng):
+    """m with each block's basis recombined by a random complex invertible
+    matrix, so that its M corner is no longer orthonormal."""
+    blocks = []
+    for b in m.blocks:
+        k = len(b.stack)
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        blocks.append(tern.SignedBlock(b.sign, b.rows, b.cols,
+                                       tuple(np.tensordot(g, b.stack, axes=1))))
+    return tern.TernarySpace.from_blocks(blocks)
+
+
+def _composable(e):
+    """Mask of the table entries (i, j, k) that the Peirce grading allows:
+    i, j, k in one block, in the corners of a pair of CORNER_PRODUCTS."""
+    mask = np.zeros((e.dim,) * 3, dtype=bool)
+    for b, s in zip(e.blocks, e.block_slices):
+        at = [s.start + sl for sl in b.slots(np.arange(b.dim))]
+        for x, y, t in emb.CORNER_PRODUCTS:
+            mask[np.ix_(at[x], at[y], at[t])] = True
+    return mask
+
+
 def test_table_matches_mul_coords(catalog):
-    for name, m in catalog:
+    rng = np.random.default_rng(23)
+    recombined = [("recombined-full-2x3-tro", _recombined(tern.full_matrix_space(2, 3, +1), rng)),
+                  ("recombined-full-3x2-anti", _recombined(tern.full_matrix_space(3, 2, -1), rng))]
+    for name, m in list(catalog) + lattice_spaces() + recombined:
         e = emb.build_embedding(m)
         eye = np.eye(e.dim, dtype=np.complex128)
         assert e.table.shape == (e.dim,) * 3
-        for i in range(e.dim):
-            want = e.mul_coords(eye[i][None, :], eye)
-            assert np.abs(e.table[i] - want).max() <= 1e-12, (name, i)
+        want = e.mul_coords(eye[:, None], eye[None])
+        assert np.abs(e.table - want).max() <= 1e-12, name
+        # outside a block's composable corner pairs, and across blocks, exactly 0
+        assert not e.table[~_composable(e)].any(), name
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_table_rejects_a_product_that_leaves_the_embedding_span(sign, scale):
+    # span{I, E12} is not closed under x y* z: E12 E12* I = E11 is not in it,
+    # and L = span(M M*) is all of M_2, so L·M leaves the M corner
+    eye, e12 = np.eye(2, dtype=np.complex128), np.array([[0, 1], [0, 0]], dtype=np.complex128)
+    m = tern.TernarySpace.from_blocks(
+        [tern.SignedBlock(sign, 2, 2, (scale * eye, scale * e12))], validate=False)
+    e = emb.build_embedding(m)
+    with pytest.raises(InvalidInput, match="^block matrix leaves the embedding span"):
+        e.table
 
 
 def _pi_slot_rows(e):
