@@ -377,18 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
+    def common(p, needs_file=True, tol=True):  # radical and quotient read no --tol
         if needs_file:
             p.add_argument("file", help="instance JSON file")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $TERNLAB_SEED or 0)")
-        p.add_argument("--tol", type=_tolerance, default=1e-8)
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=1e-8)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     for name in ("verify", "decompose", "embed", "radical", "wedderburn"):
-        common(sub.add_parser(name))
+        common(sub.add_parser(name), tol=name != "radical")
     pq = sub.add_parser("quotient")
-    common(pq)
+    common(pq, tol=False)
     pq.add_argument("--ideal", required=True,
                     help="JSON file with {'generators': [coords]}")
     pd = sub.add_parser("demo")

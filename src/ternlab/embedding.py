@@ -45,7 +45,9 @@ from .ternary import (
     random_coords,
 )
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # the span checks of products
+CHECK_TOL = 1e-8  # the support projections' and the ideal checks, peirce_split's cut
+UNIT_TOL = 1e-10  # identity_of's unit check
 
 CORNERS = ("L", "M", "Mbar", "R")
 #: Sign of each corner in the pattern S of the twisted product.
@@ -274,7 +276,7 @@ class StandardEmbedding:
         return np.concatenate(out, axis=-1)
 
 
-def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedding:
+def build_embedding(m: TernarySpace) -> StandardEmbedding:
     """Construct the standard embedding of a block-presented space."""
     m._need_blocks("build_embedding")
     blocks = []
@@ -282,10 +284,10 @@ def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedd
         stack = blk.stack
         adj = np.swapaxes(stack, -1, -2).conj()
         ll = (stack[:, None] @ adj[None]).reshape(-1, blk.rows * blk.rows)   # x y*
-        l_basis = mk.colspace(ll.T, tol)
+        l_basis = mk.colspace(ll.T)
         l_stack = l_basis.T.reshape(-1, blk.rows, blk.rows)
         rr = (adj[:, None] @ stack[None]).reshape(-1, blk.cols * blk.cols)   # x* y
-        r_basis = mk.colspace(rr.T, tol)
+        r_basis = mk.colspace(rr.T)
         r_stack = r_basis.T.reshape(-1, blk.cols, blk.cols)
         # units P, Q: projections onto the joint column space of the basis
         # matrices, then of their adjoints, stacked side by side (a cut of 1e-5
@@ -295,20 +297,20 @@ def build_embedding(m: TernarySpace, tol: float = DEFAULT_TOL) -> StandardEmbedd
         be = BlockEmbedding(sign=blk.sign, rows=blk.rows, cols=blk.cols,
                             m_stack=stack, l_stack=l_stack, r_stack=r_stack,
                             l_unit=p, r_unit=q)
-        # support projections must lie in their corner spans
+        # support projections (of norm at most 1) must lie in their corner spans
         _, resid = be.split(be.unit)
-        if resid > 1e-8 * max(1.0, mk.op_norm(p), mk.op_norm(q)):
+        if resid > CHECK_TOL:
             raise DecompositionInconclusive("support projection escapes the corner span")
         blocks.append(be)
     return StandardEmbedding(base=m, blocks=tuple(blocks))
 
 
-def emb_mul(e: StandardEmbedding, a, b, tol: float = DEFAULT_TOL) -> TernaryElement:
+def emb_mul(e: StandardEmbedding, a, b) -> TernaryElement:
     """Algebra product: linking on +1 blocks, twisted on -1 blocks."""
-    return TernaryElement(e.mul_coords(as_coords(e, a), as_coords(e, b), tol))
+    return TernaryElement(e.mul_coords(as_coords(e, a), as_coords(e, b)))
 
 
-def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> TernaryElement:
+def identity_of(e: StandardEmbedding) -> TernaryElement:
     """The exact unit: diagonal support projections, negated on -1 blocks."""
     chunks = [b.split(b.sign * b.unit)[0] for b in e.blocks]
     unit = TernaryElement(np.concatenate(chunks) if chunks
@@ -318,7 +320,7 @@ def identity_of(e: StandardEmbedding, tol: float = 1e-10) -> TernaryElement:
     right = unit.coords @ e.table                  # row i: e_i u
     resid = max(float(np.abs(left - eye).max(initial=0.0)),
                 float(np.abs(right - eye).max(initial=0.0)))
-    if resid > tol * max(1.0, float(np.abs(unit.coords).max(initial=0.0))):
+    if resid > UNIT_TOL * max(1.0, float(np.abs(unit.coords).max(initial=0.0))):
         raise DecompositionInconclusive(f"unit residual {resid:.2e} exceeds tolerance")
     return unit
 
@@ -562,30 +564,30 @@ def _assoc_ideal_residual(e: StandardEmbedding, corners: PeirceCorners) -> float
                 for _, _, groups, q in [_corner_groups(e, corners, x, left)]), default=0.0)
 
 
-def peirce_split(e: StandardEmbedding, span, tol: float = 1e-8) -> PeirceCorners:
+def peirce_split(e: StandardEmbedding, span) -> PeirceCorners:
     """Split an ideal into its four corner parts (see ``_corner_part``).
 
     Every ideal is graded by the corners, as the corner units P and Q of
-    each block lie in the algebra, so a span whose parts, cut at ``tol``, do
-    not add up to its own dimension raises NotAnIdeal before any product is
-    formed; the parts then pass the graded product check and the M part the
-    ternary ideal check.  A span whose columns do not have ``e.dim`` entries
-    raises ShapeError.
+    each block lie in the algebra, so a span whose parts, cut at CHECK_TOL,
+    do not add up to its own dimension raises NotAnIdeal before any product
+    is formed; the parts then pass the graded product check and the M part
+    the ternary ideal check, both within CHECK_TOL.  A span whose columns do
+    not have ``e.dim`` entries raises ShapeError.
     """
     span = mk.colspace(np.asarray(span, dtype=np.complex128), DEFAULT_TOL)
     if span.shape[0] != e.dim:
         raise ShapeError(f"span has {span.shape[0]} rows, the embedding {e.dim} dimensions")
-    corners = _corner_parts(e, span, tol)
+    corners = _corner_parts(e, span, CHECK_TOL)
     if sum(corners.dims) != span.shape[1]:
         raise NotAnIdeal(f"subspace is not graded by the Peirce corners: parts {corners.dims} "
                          f"do not add up to {span.shape[1]}")
     resid = _assoc_ideal_residual(e, corners)
-    if resid > tol:
+    if resid > CHECK_TOL:
         raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
     # the M-corner must be a ternary ideal of the base space
     mcols = corners.m[e.corner_indices["M"], :]
     resid = _ternary_ideal_residual(e.base, mcols)
-    if resid > tol:
+    if resid > CHECK_TOL:
         raise DecompositionInconclusive(
             f"M-corner fails the ternary ideal check (residual {resid:.2e})")
     return corners

@@ -65,8 +65,8 @@ class TernaryIdeal:
         return _ternary_ideal_residual(self.parent, self.basis)
 
 
-def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
-    """All three containments [MMI], [IMM], [MIM] hold within tolerance.
+def is_ideal(m: TernarySpace, span) -> bool:
+    """All three containments [MMI], [IMM], [MIM] hold within DEFAULT_TOL.
 
     The middle containment is checked explicitly even though it is
     automatic in an exact C*-ternary ring; numerically non-closed
@@ -76,12 +76,12 @@ def is_ideal(m: TernarySpace, span, tol: float = DEFAULT_TOL) -> bool:
     """
     if isinstance(span, TernaryIdeal):
         if _same_space(span.parent, m):
-            return span.residual <= tol
+            return span.residual <= DEFAULT_TOL
         span = span.basis
-    return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= tol
+    return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= DEFAULT_TOL
 
 
-def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
+def generated_ideal(m: TernarySpace, gens) -> TernaryIdeal:
     """Smallest ideal containing the generators (fixed point of products).
 
     Each round adds the basis products of the span, so the span grows
@@ -92,9 +92,10 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
     through their residual R = P - Q(QᴴP) first.  [Q | P] = [Q | QQᴴP] +
     [0 | R], the first term of rank k, so by Weyl's inequality
     σ_{k+1}([Q | P]) <= ||R||_2 <= ||R||_F, while σ_k >= 1 and
-    σ_1 <= ||[Q | P]||_F.  When ||R||_F <= tol and tol ||[Q | P]||_F < 1,
-    ``colspace``'s rank rule (σ_i > tol σ_1) would keep exactly k columns,
-    so the chunk is skipped; otherwise Q becomes colspace([Q | P]).
+    σ_1 <= ||[Q | P]||_F.  With tol = ``matkernel.DEFAULT_TOL`` (1e-9), when
+    ||R||_F <= tol and tol ||[Q | P]||_F < 1, ``colspace``'s rank rule
+    (σ_i > tol σ_1) would keep exactly k columns, so the chunk is skipped;
+    otherwise Q becomes colspace([Q | P]).
 
     A closing round that skips every chunk has formed the products of the
     returned span and their residuals, so it records the ideal's ``residual``
@@ -103,8 +104,8 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
     gens = gens if isinstance(gens, (list, tuple)) else np.atleast_2d(gens)
     cols = [as_coords(m, g) for g in gens]
     span = mk.colspace(np.stack(cols, axis=1) if cols else
-                       np.zeros((m.dim, 0), dtype=np.complex128), tol)
-    d = m.dim
+                       np.zeros((m.dim, 0), dtype=np.complex128))
+    d, tol = m.dim, mk.DEFAULT_TOL
     closing = None  # the round's residual while it has merged no chunk
     while 0 < span.shape[1] < d:
         grown, closing = span, 0.0
@@ -113,7 +114,7 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
             resid = prods - grown @ (grown.conj().T @ prods)
             frob = np.sqrt(grown.shape[1] + np.linalg.norm(prods) ** 2)
             if np.linalg.norm(resid) > tol or tol * frob >= 1.0:
-                grown, closing = mk.colspace(np.hstack([grown, prods]), tol), None
+                grown, closing = mk.colspace(np.hstack([grown, prods])), None
             elif closing is not None:
                 # a group is one pattern and one row: d * d product columns
                 top = [np.abs(a).reshape(d, -1, d * d).max(axis=(0, 2)) for a in (resid, prods)]
@@ -127,21 +128,19 @@ def generated_ideal(m: TernarySpace, gens, tol: float = 1e-9) -> TernaryIdeal:
     return ideal
 
 
-def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
-                tol: float = DEFAULT_TOL) -> np.ndarray:
+def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
     """The ideal L(I) ⊕ I ⊕ Ibar ⊕ R(I) inside the embedding.
 
     I sits in the M slot and Ibar in the Mbar slot; L(I) = span{x y*}
     and R(I) = span{x* y} are their products in both orders, each in its
     own corner.  Returns the four parts side by side, an orthonormal column
     basis in embedding coordinates, once I passes ``is_ideal`` and the parts
-    pass the graded product check ``_assoc_ideal_residual`` (NotAnIdeal
-    otherwise).  An ideal of another space than ``e.base`` raises NotAnIdeal.
+    pass the graded product check ``_assoc_ideal_residual``, both within
+    DEFAULT_TOL (NotAnIdeal otherwise).  An ideal of another space than ``e.base`` raises NotAnIdeal.
     """
     if not _same_space(ideal.parent, e.base):
         raise NotAnIdeal("ideal does not belong to the embedded space")
-    check_tol = max(tol, 1e-8)
-    if not is_ideal(e.base, ideal, check_tol):
+    if not is_ideal(e.base, ideal):
         raise NotAnIdeal("subspace fails the ternary ideal containments")
     idx = e.corner_indices
     placed = np.zeros((2, ideal.dim, e.dim), dtype=np.complex128)
@@ -150,7 +149,7 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
     parts = {"M": placed[0].T, "Mbar": placed[1].T}
     try:
         for corner, (x, y) in (("L", placed), ("R", placed[::-1])):
-            prods = e.mul_coords(x[:, None], y[None], tol)[..., idx[corner]]
+            prods = e.mul_coords(x[:, None], y[None], DEFAULT_TOL)[..., idx[corner]]
             q = mk.colspace(prods.reshape(-1, len(idx[corner])).T)
             parts[corner] = np.zeros((e.dim, q.shape[1]), dtype=np.complex128)
             parts[corner][idx[corner]] = q
@@ -158,7 +157,7 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal,
         raise NotAnIdeal(f"L(I) or R(I) escapes its corner span: {exc}") from None
     corners = PeirceCorners(*(parts[c] for c in CORNERS))
     resid = _assoc_ideal_residual(e, corners)
-    if resid > check_tol:
+    if resid > DEFAULT_TOL:
         raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
     return np.hstack(corners.parts)
 
@@ -176,8 +175,7 @@ def _same_space(p: TernarySpace, m: TernarySpace) -> bool:
         for a, b in zip(p.blocks, m.blocks))
 
 
-def quotient(m: TernarySpace, ideal: TernaryIdeal,
-             tol: float = DEFAULT_TOL) -> TernarySpace:
+def quotient(m: TernarySpace, ideal: TernaryIdeal) -> TernarySpace:
     """The quotient ternary ring on an orthogonal complement of the ideal.
 
     The coset product is well defined exactly when [J M M], [M J M] and
@@ -187,14 +185,14 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal,
     """
     if not _same_space(ideal.parent, m):
         raise NotAnIdeal("ideal does not belong to this space")
-    if not is_ideal(m, ideal, max(tol, 1e-8)):
+    if not is_ideal(m, ideal):
         raise NotAnIdeal("subspace fails the ternary ideal containments")
     comp = mk.nullspace(ideal.basis.conj().T)
     if comp.shape[1] == 0:
         return _empty_space()
     # coset coordinates: [J | C] is unitary, so the C part is v @ conj(C)
     c = _restricted_products(m, comp) @ comp.conj()
-    return TernarySpace.from_structure(c, validate=True, tol=max(tol, 1e-8))
+    return TernarySpace.from_structure(c, validate=True, tol=DEFAULT_TOL)
 
 
 def quotient_zettl_dims(m: TernarySpace, ideal: TernaryIdeal) -> tuple:

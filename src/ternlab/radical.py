@@ -28,7 +28,8 @@ from .errors import (
 )
 from .ternary import TernarySpace, _triple_coords, as_coords, operator_pairs, random_coords
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # the quasi-inverse and unit solves, the nilpotency chain's ranks
+CHECK_TOL = 1e-8  # the associativity, ideal and shifting-map checks
 BORDERLINE_TOL = 1e-6
 
 
@@ -92,8 +93,8 @@ class AssocAlgebra:
         # tau_k = tr(L_{b_k})
         return np.einsum("kjj->k", self.table)
 
-    def unit(self, tol: float = DEFAULT_TOL):
-        """The two-sided unit, or None."""
+    def unit(self):
+        """The two-sided unit, or None (``matkernel.solve_linear`` at DEFAULT_TOL)."""
         d = self.dim
         eye = np.eye(d, dtype=np.complex128)
         lhs = np.concatenate([
@@ -101,8 +102,7 @@ class AssocAlgebra:
             np.einsum("ijl->jil", self.table).reshape(d, -1).T,
         ])
         rhs = np.concatenate([eye.T.ravel(), eye.T.ravel()])
-        x = mk.solve_linear(lhs, rhs, tol)
-        return x
+        return mk.solve_linear(lhs, rhs, DEFAULT_TOL)
 
     def random_element(self, rng) -> np.ndarray:
         return random_coords(rng, self.dim)
@@ -166,12 +166,12 @@ def _require_associative(resid: float, tol: float):
                            f"(residual {resid:.2e})")
 
 
-def assoc_of_embedding(e: StandardEmbedding, tol: float = DEFAULT_TOL) -> AssocAlgebra:
+def assoc_of_embedding(e: StandardEmbedding) -> AssocAlgebra:
     """Structure table (the embedding's cached one) and involution of a
-    standard embedding; ``tol`` is the associativity check's."""
+    standard embedding, its associativity validated at CHECK_TOL."""
     star = e.star_coords(np.eye(e.dim, dtype=np.complex128))  # row i = coords of (e_i)*
     alg = AssocAlgebra(table=e.table, star=star.T)
-    alg.validate(max(tol, 1e-8))
+    alg.validate(CHECK_TOL)
     return alg
 
 
@@ -204,8 +204,8 @@ class QuasiInverseCertificate:
         return max(self.residuals) / self.scale
 
 
-def _solve_quasi_inverse(left_map, right_map, x, tol):
-    """Shared solve of (I - L)y = x, (I - R)y = x with residual gating."""
+def _solve_quasi_inverse(left_map, right_map, x):
+    """Shared solve of (I - L)y = x, (I - R)y = x, accepted within DEFAULT_TOL."""
     d = x.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     stacked = np.vstack([eye - left_map, eye - right_map])
@@ -217,7 +217,7 @@ def _solve_quasi_inverse(left_map, right_map, x, tol):
     scale = max(1.0, float(np.linalg.norm(x)),
                 float(np.linalg.norm(y)) * (1.0 + opn))
     rel = max(r1, r2) / scale
-    if rel <= tol:
+    if rel <= DEFAULT_TOL:
         return QuasiInverseCertificate(y=y, residuals=(r1, r2), scale=scale)
     if rel <= BORDERLINE_TOL:
         warnings.warn(f"quasi-inverse solve is borderline (residual {rel:.2e})",
@@ -225,16 +225,16 @@ def _solve_quasi_inverse(left_map, right_map, x, tol):
     return None
 
 
-def quasi_inverse_assoc(a: AssocAlgebra, x, u, tol: float = DEFAULT_TOL):
+def quasi_inverse_assoc(a: AssocAlgebra, x, u):
     """Quasi-inverse of x in the homotope with product (p, q) -> p u q."""
     x = np.asarray(x, dtype=np.complex128).ravel()
     u = np.asarray(u, dtype=np.complex128).ravel()
     left = a.left_op(a.mul(x, u))       # y -> x u y
     right = a.right_op(a.mul(u, x))     # y -> y u x
-    return _solve_quasi_inverse(left, right, x, tol)
+    return _solve_quasi_inverse(left, right, x)
 
 
-def quasi_inverse_ternary(m: TernarySpace, x, u, tol: float = DEFAULT_TOL):
+def quasi_inverse_ternary(m: TernarySpace, x, u):
     """Quasi-inverse of x in the ternary homotope: y - x = [xuy] = [yux]."""
     xv, uv = as_coords(m, x), as_coords(m, u)
     d = m.dim
@@ -243,14 +243,14 @@ def quasi_inverse_ternary(m: TernarySpace, x, u, tol: float = DEFAULT_TOL):
                           np.broadcast_to(uv, (d, d)), eye).T
     right = _triple_coords(m, eye, np.broadcast_to(uv, (d, d)),
                            np.broadcast_to(xv, (d, d))).T
-    return _solve_quasi_inverse(left, right, xv, tol)
+    return _solve_quasi_inverse(left, right, xv)
 
 
 # ---------------------------------------------------------------------------
 # Radicals
 
 
-def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL) -> np.ndarray:
+def jacobson_radical(a: AssocAlgebra) -> np.ndarray:
     """Orthonormal basis (columns) of Rad A by the trace-form criterion.
 
     Over characteristic zero, x is radical iff tr(L_{x b}) vanishes for
@@ -265,22 +265,22 @@ def jacobson_radical(a: AssocAlgebra, tol: float = DEFAULT_TOL) -> np.ndarray:
     tau = a.trace_vector
     rows = np.einsum("ijk,k->ij", a.table, tau).T     # row j: tr(L_{b_i b_j})
     crit = np.vstack([rows, tau[None, :]])            # extra row: tr(L_{b_i})
-    rad = mk.nullspace(crit, tol)
+    rad = mk.nullspace(crit)
     if rad.shape[1] == 0:
         return rad
 
     _audit_ideal(a, rad)
-    _certify_nilpotent(a, rad, tol)
-    comp = mk.nullspace(rad.conj().T, tol)
+    _certify_nilpotent(a, rad)
+    comp = mk.nullspace(rad.conj().T)
     quotient = _quotient_algebra(a, comp)
-    inner = jacobson_radical(quotient, tol)
+    inner = jacobson_radical(quotient)
     if inner.shape[1] != 0:
         raise DecompositionInconclusive(
             "radical is not idempotent: quotient still has a radical")
     return rad
 
 
-def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
+def _audit_ideal(a: AssocAlgebra, span: np.ndarray):
     # a span row s contracted into the table's second slot gives [i, l], the
     # coordinate l of e_i s, and into its first slot that of s e_i
     d = a.dim
@@ -288,19 +288,19 @@ def _audit_ideal(a: AssocAlgebra, span: np.ndarray, tol: float = 1e-8):
     first = a.table.reshape(d, d * d)
     resid = mk.span_residual((np.concatenate([s @ second, s @ first]).reshape(-1, d, d)
                               for s in mk.span_chunks(span, 2 * d)), span)
-    if resid > tol:
+    if resid > CHECK_TOL:
         raise DecompositionInconclusive(
             f"computed radical is not an ideal (residual {resid:.2e})")
 
 
-def _certify_nilpotent(a: AssocAlgebra, span: np.ndarray, tol: float):
+def _certify_nilpotent(a: AssocAlgebra, span: np.ndarray):
     """DecompositionInconclusive unless the ideal N spanned by the
     orthonormal columns is nilpotent.
 
     N_1 = N and N_{k+1} = N_k N must lose rank at every step until rank
     0; N_{k+1} lies in N_k, so an unchanged rank is a fixed point.  Ranks
     are read on table / |table|max, where products of unit vectors are
-    of order one, so singular values up to tol are rounding at any scale
+    of order one, so singular values up to DEFAULT_TOL are rounding at any scale
     (relative to the largest one, a zero power's rounding would count).
     """
     d = a.dim
@@ -310,7 +310,7 @@ def _certify_nilpotent(a: AssocAlgebra, span: np.ndarray, tol: float):
         # [i, j]: the product of power column i and span column j
         prods = span.T @ (power.T @ t).reshape(-1, d, d)
         u, s, _ = np.linalg.svd(prods.reshape(-1, d).T, full_matrices=False)
-        nxt = u[:, :int(np.sum(s > tol))]
+        nxt = u[:, :int(np.sum(s > DEFAULT_TOL))]
         if nxt.shape[1] >= power.shape[1]:
             raise DecompositionInconclusive(
                 f"computed radical is not nilpotent: the rank of its power "
@@ -337,16 +337,16 @@ def m_corner(rad: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
     return _corner_part(rad, m_idx)[m_idx]
 
 
-def _ambient(m: TernarySpace, tol: float = DEFAULT_TOL) -> tuple:
+def _ambient(m: TernarySpace) -> tuple:
     """(A, M-corner indices): the embedding on block input, the structure
     envelope on structure input; Rad A ∩ M is the radical of m."""
     if m.is_block:
-        e = build_embedding(m, tol)
-        return assoc_of_embedding(e, tol), e.corner_indices["M"]
-    return structure_envelope(m, tol)
+        e = build_embedding(m)
+        return assoc_of_embedding(e), e.corner_indices["M"]
+    return structure_envelope(m)
 
 
-def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL) -> np.ndarray:
+def ternary_radical(m: TernarySpace) -> np.ndarray:
     """Basis (columns, base coordinates) of the radical of a ternary ring.
 
     Computed as Rad A(M) ∩ M via the Peirce corner of the embedding;
@@ -359,15 +359,15 @@ def ternary_radical(m: TernarySpace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if m.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    alg, m_idx = _ambient(m, tol)
-    return m_corner(jacobson_radical(alg, tol), m_idx)
+    alg, m_idx = _ambient(m)
+    return m_corner(jacobson_radical(alg), m_idx)
 
 
 # ---------------------------------------------------------------------------
 # Abstract envelope from structure constants
 
 
-def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
+def structure_envelope(m: TernarySpace):
     """Faithful associative envelope of a structure-constants space.
 
     Elements are (A, f, gbar, B) with A spanned by pairs of left
@@ -388,8 +388,8 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
     rten = np.einsum("ijkl->jkli", c)
 
     l_pairs, r_pairs = operator_pairs(lten), operator_pairs(rten)
-    l_basis = mk.colspace(l_pairs.reshape(d * d, -1).T, tol)   # columns: vec(P) ++ vec(Ptilde)
-    r_basis = mk.colspace(r_pairs.reshape(d * d, -1).T, tol)
+    l_basis = mk.colspace(l_pairs.reshape(d * d, -1).T)   # columns: vec(P) ++ vec(Ptilde)
+    r_basis = mk.colspace(r_pairs.reshape(d * d, -1).T)
     dk, dr = l_basis.shape[1], r_basis.shape[1]
     n = dk + d + d + dr
     # the corners A, f, gbar, B as grades 0-3
@@ -428,7 +428,7 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
         table[grades[x], grades[y], grades[_product_grade(x, y)]] = block
     scale = max(float(np.abs(v).max(initial=0.0)) for v in blocks.values()) or 1.0
     _require_associative(_graded_gap({k: np.ascontiguousarray(v) / scale
-                                      for k, v in blocks.items()}), max(tol, 1e-8))
+                                      for k, v in blocks.items()}), CHECK_TOL)
     return AssocAlgebra(table=table), np.arange(dk, dk + d)
 
 
@@ -438,7 +438,6 @@ def structure_envelope(m: TernarySpace, tol: float = DEFAULT_TOL):
 
 def check_corner_qi_equivalence(m: TernarySpace, x=None, u=None,
                                 trials: int = 1, seed: int = 0,
-                                tol: float = DEFAULT_TOL,
                                 embedding: StandardEmbedding = None,
                                 algebra: AssocAlgebra = None) -> bool:
     """Ternary quasi-invertibility matches the embedded corner element's.
@@ -447,34 +446,32 @@ def check_corner_qi_equivalence(m: TernarySpace, x=None, u=None,
     random pairs are drawn.  The corner element sits in the M slot and
     the homotope element carries u in the Mbar slot.
     """
-    e = embedding if embedding is not None else build_embedding(m, tol)
-    alg = algebra if algebra is not None else assoc_of_embedding(e, tol)
+    e = embedding if embedding is not None else build_embedding(m)
+    alg = algebra if algebra is not None else assoc_of_embedding(e)
     rng = np.random.default_rng(seed)
     pairs = ([(as_coords(m, x), as_coords(m, u))] if x is not None
              else [(m.random_element(rng).coords, m.random_element(rng).coords)
                    for _ in range(trials)])
     for xv, uv in pairs:
-        tern = quasi_inverse_ternary(m, xv, uv, tol) is not None
+        tern = quasi_inverse_ternary(m, xv, uv) is not None
         xhat = e.embed_base(xv).coords
         uhat = e.embed_base_conj(uv).coords
-        assoc = quasi_inverse_assoc(alg, xhat, uhat, tol) is not None
+        assoc = quasi_inverse_assoc(alg, xhat, uhat) is not None
         if tern != assoc:
             return False
     return True
 
 
-def check_symmetry_principle(a: AssocAlgebra, x, y,
-                             tol: float = DEFAULT_TOL) -> bool:
+def check_symmetry_principle(a: AssocAlgebra, x, y) -> bool:
     """qi(x in A_y) holds iff qi(y in A_x) holds."""
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
-    fwd = quasi_inverse_assoc(a, x, y, tol) is not None
-    bwd = quasi_inverse_assoc(a, y, x, tol) is not None
+    fwd = quasi_inverse_assoc(a, x, y) is not None
+    bwd = quasi_inverse_assoc(a, y, x) is not None
     return fwd == bwd
 
 
 def check_shifting_principle(a: AssocAlgebra, phi, psi, x, y,
-                             tol: float = DEFAULT_TOL,
                              validate: bool = True) -> bool:
     """qi(x in A_{psi(y)}) holds iff qi(phi(x) in A_y) holds.
 
@@ -485,11 +482,11 @@ def check_shifting_principle(a: AssocAlgebra, phi, psi, x, y,
     phi = np.asarray(phi, dtype=np.complex128)
     psi = np.asarray(psi, dtype=np.complex128)
     if validate:
-        _validate_shifting_maps(a, phi, psi, tol=1e-8)
+        _validate_shifting_maps(a, phi, psi, CHECK_TOL)
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
-    fwd = quasi_inverse_assoc(a, x, psi @ y, tol) is not None
-    bwd = quasi_inverse_assoc(a, phi @ x, y, tol) is not None
+    fwd = quasi_inverse_assoc(a, x, psi @ y) is not None
+    bwd = quasi_inverse_assoc(a, phi @ x, y) is not None
     return fwd == bwd
 
 

@@ -30,6 +30,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 AXIOM_TOL = 1e-8
+STRUCTURE_TOL = 1e-10  # structure_constants_of's span check
 # unit roundoff of float64
 _UNIT = np.finfo(np.float64).eps / 2
 # [[xyz]uv] against [x[uzy]v] and [xy[zuv]] on the basis, as matkernel sweeps
@@ -575,10 +576,10 @@ def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
     return out.reshape(-1, d * d, d)
 
 
-def triple(m: TernarySpace, x, y, z, tol: float = DEFAULT_TOL) -> TernaryElement:
+def triple(m: TernarySpace, x, y, z) -> TernaryElement:
     """Triple product [xyz]; conjugate-linear in the middle argument."""
     xs, ys, zs = as_coords(m, x), as_coords(m, y), as_coords(m, z)
-    return TernaryElement(_triple_coords(m, xs, ys, zs, tol))
+    return TernaryElement(_triple_coords(m, xs, ys, zs))
 
 
 def opposite(m: TernarySpace) -> TernarySpace:
@@ -589,12 +590,12 @@ def opposite(m: TernarySpace) -> TernarySpace:
     return TernarySpace(structure=StructureConstants(m.structure.dim, -m.structure.c))
 
 
-def structure_constants_of(m: TernarySpace, tol: float = 1e-10) -> StructureConstants:
-    """Project basis triple products onto the basis."""
+def structure_constants_of(m: TernarySpace) -> StructureConstants:
+    """Project basis triple products onto the basis (span check at STRUCTURE_TOL)."""
     if not m.is_block:
         return m.structure
     eye = np.eye(m.dim, dtype=np.complex128)
-    c = _triple_coords(m, eye[:, None, None], eye[None, :, None], eye[None, None], tol)
+    c = _triple_coords(m, eye[:, None, None], eye[None, :, None], eye[None, None], STRUCTURE_TOL)
     return StructureConstants(dim=m.dim, c=c)
 
 
@@ -642,7 +643,7 @@ def direct_sum(*spaces: TernarySpace) -> TernarySpace:
     return TernarySpace.from_blocks(blocks, validate=False)
 
 
-def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL) -> TernarySpace:
+def ternary_closure(generators, sign: int) -> TernarySpace:
     """Smallest signed block containing the generators.
 
     Iterates span-augmentation by basis triple products until the
@@ -658,16 +659,16 @@ def ternary_closure(generators, sign: int, tol: float = DEFAULT_TOL) -> TernaryS
             raise ShapeError("generators must share one shape")
     rows, cols = shape
     flat = np.stack([g.ravel() for g in mats], axis=1)
-    span = mk.colspace(flat, tol)
+    span = mk.colspace(flat)
     if span.shape[1] == 0:
         raise InvalidInput("generators span the zero space")
     while True:
         prods = _basis_triples(span.T.reshape(-1, rows, cols)).reshape(-1, rows * cols)
-        new_span = mk.colspace(np.hstack([span, prods.T]), tol)
+        new_span = mk.colspace(np.hstack([span, prods.T]))
         if new_span.shape[1] in (span.shape[1], rows * cols):
             basis = tuple(new_span.T.reshape(-1, rows, cols))
             return TernarySpace.from_blocks(
-                [SignedBlock(sign, rows, cols, basis)], validate=True, tol=max(tol, 1e-8))
+                [SignedBlock(sign, rows, cols, basis)], validate=True, tol=AXIOM_TOL)
         span = new_span
 
 

@@ -19,6 +19,7 @@ from .errors import DecompositionInconclusive, PreconditionFailed
 from .radical import AssocAlgebra, jacobson_radical, matrix_algebra
 
 DEFAULT_TOL = 1e-8
+DET_TOL = 1e-10  # det_invertibility's cut on |ad + bc|
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,13 @@ class WedderburnSolution:
         return (self.phi @ np.asarray(x, dtype=np.complex128)).reshape(n, n)
 
 
-def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0,
-                     tol: float = DEFAULT_TOL) -> WedderburnSolution:
+def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0) -> WedderburnSolution:
     """An invertible phi with phi(x) phi(y) = phi(xy) onto M_n, n = target_dim.
 
     The source must be a full matrix algebra, else PreconditionFailed.
     ``seed`` chooses the generic element that splits off a minimal left
     ideal; the unit maps to the identity.  DecompositionInconclusive
-    flags a residual above ``tol`` or a singular phi.
+    flags a residual above DEFAULT_TOL or a singular phi.
     """
     n, d = target_dim, a.dim
     if n < 1 or d != n * n:
@@ -58,14 +58,14 @@ def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0,
     right = a.right_op(a.random_element(np.random.default_rng(seed)))
     lam = np.linalg.eigvals(right)[0]
     _, s, vh = np.linalg.svd(right - lam * np.eye(d))
-    ideal_dim = int(np.sum(s <= tol * mk.op_norm(right)))
+    ideal_dim = int(np.sum(s <= DEFAULT_TOL * mk.op_norm(right)))
     if ideal_dim != n:
         raise PreconditionFailed(f"source algebra is not simple: a minimal left ideal "
                                  f"has dim {ideal_dim}, not {n}; it must be M_{n}")
     q = vh[-n:].conj().T  # orthonormal basis of the left ideal A e
     phi = np.stack([(q.conj().T @ a.left_op(e) @ q).ravel() for e in np.eye(d)], 1)
     rep = verify_isomorphism(phi, a, matrix_algebra(n))
-    if rep.max_residual > tol or not rep.invertible:
+    if rep.max_residual > DEFAULT_TOL or not rep.invertible:
         raise DecompositionInconclusive(f"isomorphism residual {rep.max_residual:.2e}, "
                                         f"condition {rep.condition:.2e}")
     return WedderburnSolution(phi=phi, target_dim=n, residual=rep.max_residual,
@@ -118,17 +118,17 @@ def m2_closed_form() -> np.ndarray:
     return np.diag(np.array([-1.0, -1.0, 1.0, -1.0], dtype=np.complex128))
 
 
-def det_invertibility(a: AssocAlgebra, x, tol: float = 1e-10) -> bool:
+def det_invertibility(a: AssocAlgebra, x) -> bool:
     """Invertibility of [[a,b],[c,d]] in the twisted 2x2 algebra.
 
-    True iff |ad + bc| exceeds tolerance; cross-checked against
+    True iff |ad + bc| exceeds DET_TOL; cross-checked against
     two-sided solvability of x y = e = y x.
     """
     v = np.asarray(x, dtype=np.complex128).ravel()
     if v.shape != (4,):
         raise PreconditionFailed("element must have 4 coordinates [a, b, c, d]")
     det = v[0] * v[3] + v[1] * v[2]
-    verdict = bool(abs(det) > tol)
+    verdict = bool(abs(det) > DET_TOL)
     unit = a.unit()
     if unit is None:
         raise PreconditionFailed("algebra has no unit")

@@ -252,6 +252,16 @@ def test_samples_option_is_gone(mixed_file, capsys):
     assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
 
+def test_radical_and_quotient_take_no_tol(tmp_path, mixed_file, capsys):
+    # neither command reads a tolerance, so neither accepts one
+    ideal = _write(tmp_path, "ideal.json", {"generators": [[[1.0, 0.0]] + [[0.0, 0.0]] * 4]})
+    for argv in (["radical", mixed_file], ["quotient", mixed_file, "--ideal", ideal]):
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        assert cli.main(argv + ["--tol", "1e-8"]) == 2, argv
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_dependent_basis_exits_2_under_every_command(tmp_path):
     row = [[[1.0, 0.0], [0.0, 0.0]]]
     path = _write(tmp_path, "dependent.json", {"name": "dependent", "blocks": [

@@ -397,18 +397,20 @@ def _nearly_closed_line(eps):
 
 
 def test_generated_ideal_records_the_per_group_residual():
-    eps = 1e-9
-    m = _nearly_closed_line(eps)
     e0 = np.eye(2, dtype=np.complex128)[0]
-    # ||R||_F = sqrt(3) eps <= tol: the one round skips its chunk and records
-    # the worst group, eps, not the chunk's Frobenius norm
-    ideal = idl.generated_ideal(m, [e0], tol=1e-6)
+    # eps = 1e-10: ||R||_F = sqrt(3) eps <= tol = 1e-9, so the one round skips
+    # its chunk and records the worst group, eps, not the chunk's Frobenius norm
+    eps = 1e-10
+    m = _nearly_closed_line(eps)
+    ideal = idl.generated_ideal(m, [e0])
     assert ideal.dim == 1
     assert "residual" in vars(ideal)
     assert abs(ideal.residual - eps) <= 1e-15
     assert abs(ideal.residual - emb._ternary_ideal_residual(m, ideal.basis)) <= 1e-15
-    # at tol = 1e-9 the chunk is merged without growing the span: nothing is
-    # recorded, and the residual is computed on first use
+    # eps = 1e-9: ||R||_F > tol, so the chunk is merged without growing the
+    # span: nothing is recorded, and the residual is computed on first use
+    eps = 1e-9
+    m = _nearly_closed_line(eps)
     ideal = idl.generated_ideal(m, [e0])
     assert ideal.dim == 1
     assert "residual" not in vars(ideal)

@@ -116,8 +116,8 @@ def test_nilpotency_chain_accepts_strictly_upper(factor):
         assert len(strict) == dim
         scaled = rad.AssocAlgebra(table=factor * alg.table)
         exact = np.eye(alg.dim, dtype=np.complex128)[:, strict]
-        rad._certify_nilpotent(scaled, exact, 1e-9)
-        rad._certify_nilpotent(scaled, _rotated(exact, rng), 1e-9)
+        rad._certify_nilpotent(scaled, exact)
+        rad._certify_nilpotent(scaled, _rotated(exact, rng))
 
 
 def _scalar_plus_strict_t3():
@@ -139,7 +139,7 @@ def test_nilpotency_chain_rejects_non_nilpotent_ideals(factor):
         whole = np.eye(alg.dim, dtype=np.complex128)
         for basis in (whole, _rotated(whole, rng)):
             with pytest.raises(DecompositionInconclusive, match=message):
-                rad._certify_nilpotent(scaled, basis, 1e-9)
+                rad._certify_nilpotent(scaled, basis)
 
 
 def test_jacobson_radical_certifies_the_trace_form():
@@ -342,10 +342,14 @@ def test_principal_ideal_criterion_scalar_consistency():
 
 def test_borderline_warning_emitted():
     c = rad.AssocAlgebra(table=np.ones((1, 1, 1), dtype=np.complex128))
-    # an acceptance threshold below machine precision lands every normal
-    # solve in the gray band, which must warn instead of deciding
-    with pytest.warns(BorderlineWarning):
-        out = rad.quasi_inverse_assoc(c, [1.0], [0.5], tol=1e-18)
+    # x u = 1 exactly, so x has no quasi-inverse in the homotope: (1 - x u) y = x
+    # reads 0 y = x, whose least-squares solve y = 0 misses by |x| = 2^-23, about
+    # 1.2e-7, inside the gray band (DEFAULT_TOL, BORDERLINE_TOL], which must warn
+    # instead of deciding
+    x = 2.0 ** -23
+    assert rad.DEFAULT_TOL < x <= rad.BORDERLINE_TOL
+    with pytest.warns(BorderlineWarning, match="residual 1.19e-07"):
+        out = rad.quasi_inverse_assoc(c, [x], [1 / x])
     assert out is None
 
 

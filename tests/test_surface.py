@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller.
+"""Every name the package exports has a caller, and only the callables whose
+callers set a tolerance take one.
 
 A name exported from ``ternlab/__init__.py`` must be referenced, outside its
 own definition, by a ``src/ternlab`` module, by the acceptance criteria, by a
@@ -8,8 +9,11 @@ not count.  References are read from the syntax tree: a ``Name`` or an
 """
 
 import ast
+import inspect
 import pathlib
 import re
+
+import ternlab
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ternlab"
@@ -54,3 +58,36 @@ def test_every_export_has_a_caller():
                if name not in used and not any(name in _references(t, skip=name)
                                                for t in modules)]
     assert orphans == []
+
+
+# The exported callables that take a ``tol``: the CLI's --tol sets check_axioms
+# and zettl_decompose, the acceptance criteria set pi_norm_lower_bounds, and the
+# rest are called at two tolerances (1e-9 when parsing, 1e-8 for closures and
+# quotients) or are the matkernel solve; AssocAlgebra.validate sits with the
+# other validators.  Every other check reads its module's constant.
+TOL_TAKERS = {
+    "check_axioms", "zettl_decompose", "pi_norm_lower_bounds",
+    "StandardEmbedding.mul_coords", "TernarySpace.from_blocks",
+    "TernarySpace.from_structure", "SignedBlock.validate",
+    "SignedBlock.check_independent", "StructureConstants.validate",
+    "AssocAlgebra.validate", "solve_linear",
+}
+
+
+def _takes_tol(f) -> bool:
+    return callable(f) and "tol" in inspect.signature(f).parameters
+
+
+def test_only_callables_whose_callers_set_a_tolerance_take_one():
+    # exported functions and the public methods of exported classes; a class's
+    # private names (its dataclass __init__ among them, so AxiomReport's tol
+    # field) do not count
+    takers = set()
+    for name in _exports():
+        obj = getattr(ternlab, name)
+        if inspect.isclass(obj):
+            takers |= {f"{name}.{attr}" for attr in vars(obj)
+                       if not attr.startswith("_") and _takes_tol(getattr(obj, attr))}
+        elif inspect.isfunction(obj) and _takes_tol(obj):
+            takers.add(name)
+    assert takers == TOL_TAKERS
