@@ -36,6 +36,7 @@ import numpy as np
 from . import matkernel as mk
 from .errors import DecompositionInconclusive, NotAnIdeal, ShapeError
 from .ternary import (
+    AXIOM_TOL,
     TernaryElement,
     TernarySpace,
     _block_slices,
@@ -46,7 +47,6 @@ from .ternary import (
 )
 
 DEFAULT_TOL = 1e-9  # the span checks of products
-CHECK_TOL = 1e-8  # the support projections' and the ideal checks, peirce_split's cut
 UNIT_TOL = 1e-10  # identity_of's unit check
 
 CORNERS = ("L", "M", "Mbar", "R")
@@ -299,7 +299,7 @@ def build_embedding(m: TernarySpace) -> StandardEmbedding:
                             l_unit=p, r_unit=q)
         # support projections (of norm at most 1) must lie in their corner spans
         _, resid = be.split(be.unit)
-        if resid > CHECK_TOL:
+        if resid > AXIOM_TOL:
             raise DecompositionInconclusive("support projection escapes the corner span")
         blocks.append(be)
     return StandardEmbedding(base=m, blocks=tuple(blocks))
@@ -568,26 +568,26 @@ def peirce_split(e: StandardEmbedding, span) -> PeirceCorners:
     """Split an ideal into its four corner parts (see ``_corner_part``).
 
     Every ideal is graded by the corners, as the corner units P and Q of
-    each block lie in the algebra, so a span whose parts, cut at CHECK_TOL,
+    each block lie in the algebra, so a span whose parts, cut at AXIOM_TOL,
     do not add up to its own dimension raises NotAnIdeal before any product
     is formed; the parts then pass the graded product check and the M part
-    the ternary ideal check, both within CHECK_TOL.  A span whose columns do
+    the ternary ideal check, both within AXIOM_TOL.  A span whose columns do
     not have ``e.dim`` entries raises ShapeError.
     """
     span = mk.colspace(np.asarray(span, dtype=np.complex128), DEFAULT_TOL)
     if span.shape[0] != e.dim:
         raise ShapeError(f"span has {span.shape[0]} rows, the embedding {e.dim} dimensions")
-    corners = _corner_parts(e, span, CHECK_TOL)
+    corners = _corner_parts(e, span, AXIOM_TOL)
     if sum(corners.dims) != span.shape[1]:
         raise NotAnIdeal(f"subspace is not graded by the Peirce corners: parts {corners.dims} "
                          f"do not add up to {span.shape[1]}")
     resid = _assoc_ideal_residual(e, corners)
-    if resid > CHECK_TOL:
+    if resid > AXIOM_TOL:
         raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
     # the M-corner must be a ternary ideal of the base space
     mcols = corners.m[e.corner_indices["M"], :]
     resid = _ternary_ideal_residual(e.base, mcols)
-    if resid > CHECK_TOL:
+    if resid > AXIOM_TOL:
         raise DecompositionInconclusive(
             f"M-corner fails the ternary ideal check (residual {resid:.2e})")
     return corners

@@ -27,6 +27,7 @@ from .embedding import (
 )
 from .errors import InvalidInput, NotAnIdeal, ShapeError
 from .ternary import (
+    AXIOM_TOL,
     TernarySpace,
     _empty_space,
     _ideal_products,
@@ -35,8 +36,6 @@ from .ternary import (
     as_coords,
     zettl_decompose,
 )
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class TernaryIdeal:
 
 
 def is_ideal(m: TernarySpace, span) -> bool:
-    """All three containments [MMI], [IMM], [MIM] hold within DEFAULT_TOL.
+    """All three containments [MMI], [IMM], [MIM] hold within AXIOM_TOL.
 
     The middle containment is checked explicitly even though it is
     automatic in an exact C*-ternary ring; numerically non-closed
@@ -76,9 +75,9 @@ def is_ideal(m: TernarySpace, span) -> bool:
     """
     if isinstance(span, TernaryIdeal):
         if _same_space(span.parent, m):
-            return span.residual <= DEFAULT_TOL
+            return span.residual <= AXIOM_TOL
         span = span.basis
-    return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= DEFAULT_TOL
+    return _ternary_ideal_residual(m, np.asarray(span, dtype=np.complex128)) <= AXIOM_TOL
 
 
 def generated_ideal(m: TernarySpace, gens) -> TernaryIdeal:
@@ -136,7 +135,8 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
     own corner.  Returns the four parts side by side, an orthonormal column
     basis in embedding coordinates, once I passes ``is_ideal`` and the parts
     pass the graded product check ``_assoc_ideal_residual``, both within
-    DEFAULT_TOL (NotAnIdeal otherwise).  An ideal of another space than ``e.base`` raises NotAnIdeal.
+    AXIOM_TOL (NotAnIdeal otherwise).  An ideal of another space than
+    ``e.base`` raises NotAnIdeal.
     """
     if not _same_space(ideal.parent, e.base):
         raise NotAnIdeal("ideal does not belong to the embedded space")
@@ -149,7 +149,7 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
     parts = {"M": placed[0].T, "Mbar": placed[1].T}
     try:
         for corner, (x, y) in (("L", placed), ("R", placed[::-1])):
-            prods = e.mul_coords(x[:, None], y[None], DEFAULT_TOL)[..., idx[corner]]
+            prods = e.mul_coords(x[:, None], y[None], AXIOM_TOL)[..., idx[corner]]
             q = mk.colspace(prods.reshape(-1, len(idx[corner])).T)
             parts[corner] = np.zeros((e.dim, q.shape[1]), dtype=np.complex128)
             parts[corner][idx[corner]] = q
@@ -157,7 +157,7 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
         raise NotAnIdeal(f"L(I) or R(I) escapes its corner span: {exc}") from None
     corners = PeirceCorners(*(parts[c] for c in CORNERS))
     resid = _assoc_ideal_residual(e, corners)
-    if resid > DEFAULT_TOL:
+    if resid > AXIOM_TOL:
         raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
     return np.hstack(corners.parts)
 
@@ -192,7 +192,7 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal) -> TernarySpace:
         return _empty_space()
     # coset coordinates: [J | C] is unitary, so the C part is v @ conj(C)
     c = _restricted_products(m, comp) @ comp.conj()
-    return TernarySpace.from_structure(c, validate=True, tol=DEFAULT_TOL)
+    return TernarySpace.from_structure(c, validate=True, tol=AXIOM_TOL)
 
 
 def quotient_zettl_dims(m: TernarySpace, ideal: TernaryIdeal) -> tuple:

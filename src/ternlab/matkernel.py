@@ -50,10 +50,10 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def solve_linear(a, b, tol: float = DEFAULT_TOL):
+def solve_linear(a, b):
     """Least-squares solve ``A x = b`` with a residual acceptance test.
 
-    Returns ``x`` when ``||Ax - b|| <= tol * (||A|| ||x|| + ||b||)``,
+    Returns ``x`` when ``||Ax - b|| <= DEFAULT_TOL * (||A|| ||x|| + ||b||)``,
     otherwise None.  No exact rank decisions are made; the residual is
     the only criterion.
     """
@@ -63,7 +63,7 @@ def solve_linear(a, b, tol: float = DEFAULT_TOL):
         raise ShapeError(f"incompatible system: {m.shape} vs {vec.shape}")
     x = np.linalg.lstsq(m, vec, rcond=None)[0]
     resid = float(np.linalg.norm(m @ x - vec))
-    bound = tol * (op_norm(m) * float(np.linalg.norm(x)) + float(np.linalg.norm(vec)))
+    bound = DEFAULT_TOL * (op_norm(m) * float(np.linalg.norm(x)) + float(np.linalg.norm(vec)))
     return x if resid <= bound else None
 
 

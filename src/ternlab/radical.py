@@ -26,10 +26,10 @@ from .errors import (
     PreconditionFailed,
     ShapeError,
 )
-from .ternary import TernarySpace, _triple_coords, as_coords, operator_pairs, random_coords
+from .ternary import (AXIOM_TOL, TernarySpace, _triple_coords, as_coords, operator_pairs,
+                      random_coords)
 
-DEFAULT_TOL = 1e-9  # the quasi-inverse and unit solves, the nilpotency chain's ranks
-CHECK_TOL = 1e-8  # the associativity, ideal and shifting-map checks
+DEFAULT_TOL = 1e-9  # the quasi-inverse solve, the nilpotency chain's ranks
 BORDERLINE_TOL = 1e-6
 
 
@@ -70,8 +70,9 @@ class AssocAlgebra:
         """
         return _assoc_residual(self.table)
 
-    def validate(self, tol: float = DEFAULT_TOL):
-        _require_associative(self.associativity_residual(), tol)
+    def validate(self):
+        """InvalidInput when the associativity residual exceeds AXIOM_TOL."""
+        _require_associative(self.associativity_residual())
 
     def mul(self, x, y) -> np.ndarray:
         d = self.dim
@@ -94,7 +95,7 @@ class AssocAlgebra:
         return np.einsum("kjj->k", self.table)
 
     def unit(self):
-        """The two-sided unit, or None (``matkernel.solve_linear`` at DEFAULT_TOL)."""
+        """The two-sided unit, or None (``matkernel.solve_linear``)."""
         d = self.dim
         eye = np.eye(d, dtype=np.complex128)
         lhs = np.concatenate([
@@ -102,7 +103,7 @@ class AssocAlgebra:
             np.einsum("ijl->jil", self.table).reshape(d, -1).T,
         ])
         rhs = np.concatenate([eye.T.ravel(), eye.T.ravel()])
-        return mk.solve_linear(lhs, rhs, DEFAULT_TOL)
+        return mk.solve_linear(lhs, rhs)
 
     def random_element(self, rng) -> np.ndarray:
         return random_coords(rng, self.dim)
@@ -160,18 +161,18 @@ def _graded_gap(blocks: dict) -> float:
     return resid
 
 
-def _require_associative(resid: float, tol: float):
-    if resid > tol:
+def _require_associative(resid: float):
+    if resid > AXIOM_TOL:
         raise InvalidInput(f"product is not associative on the basis "
                            f"(residual {resid:.2e})")
 
 
 def assoc_of_embedding(e: StandardEmbedding) -> AssocAlgebra:
     """Structure table (the embedding's cached one) and involution of a
-    standard embedding, its associativity validated at CHECK_TOL."""
+    standard embedding, its associativity validated at AXIOM_TOL."""
     star = e.star_coords(np.eye(e.dim, dtype=np.complex128))  # row i = coords of (e_i)*
     alg = AssocAlgebra(table=e.table, star=star.T)
-    alg.validate(CHECK_TOL)
+    alg.validate()
     return alg
 
 
@@ -288,7 +289,7 @@ def _audit_ideal(a: AssocAlgebra, span: np.ndarray):
     first = a.table.reshape(d, d * d)
     resid = mk.span_residual((np.concatenate([s @ second, s @ first]).reshape(-1, d, d)
                               for s in mk.span_chunks(span, 2 * d)), span)
-    if resid > CHECK_TOL:
+    if resid > AXIOM_TOL:
         raise DecompositionInconclusive(
             f"computed radical is not an ideal (residual {resid:.2e})")
 
@@ -428,7 +429,7 @@ def structure_envelope(m: TernarySpace):
         table[grades[x], grades[y], grades[_product_grade(x, y)]] = block
     scale = max(float(np.abs(v).max(initial=0.0)) for v in blocks.values()) or 1.0
     _require_associative(_graded_gap({k: np.ascontiguousarray(v) / scale
-                                      for k, v in blocks.items()}), CHECK_TOL)
+                                      for k, v in blocks.items()}))
     return AssocAlgebra(table=table), np.arange(dk, dk + d)
 
 
@@ -482,7 +483,7 @@ def check_shifting_principle(a: AssocAlgebra, phi, psi, x, y,
     phi = np.asarray(phi, dtype=np.complex128)
     psi = np.asarray(psi, dtype=np.complex128)
     if validate:
-        _validate_shifting_maps(a, phi, psi, CHECK_TOL)
+        _validate_shifting_maps(a, phi, psi, AXIOM_TOL)
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
     fwd = quasi_inverse_assoc(a, x, psi @ y) is not None

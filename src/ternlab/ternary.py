@@ -29,7 +29,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-AXIOM_TOL = 1e-8
+AXIOM_TOL = 1e-8  # the acceptance of the axiom, associativity, ideal and decomposition checks
 STRUCTURE_TOL = 1e-10  # structure_constants_of's span check
 # unit roundoff of float64
 _UNIT = np.finfo(np.float64).eps / 2

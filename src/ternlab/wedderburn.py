@@ -17,8 +17,8 @@ import numpy as np
 from . import matkernel as mk
 from .errors import DecompositionInconclusive, PreconditionFailed
 from .radical import AssocAlgebra, jacobson_radical, matrix_algebra
+from .ternary import AXIOM_TOL
 
-DEFAULT_TOL = 1e-8
 DET_TOL = 1e-10  # det_invertibility's cut on |ad + bc|
 
 
@@ -46,7 +46,7 @@ def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0) -> Wedderb
     The source must be a full matrix algebra, else PreconditionFailed.
     ``seed`` chooses the generic element that splits off a minimal left
     ideal; the unit maps to the identity.  DecompositionInconclusive
-    flags a residual above DEFAULT_TOL or a singular phi.
+    flags a residual above AXIOM_TOL or a singular phi.
     """
     n, d = target_dim, a.dim
     if n < 1 or d != n * n:
@@ -58,14 +58,14 @@ def solve_wedderburn(a: AssocAlgebra, target_dim: int, seed: int = 0) -> Wedderb
     right = a.right_op(a.random_element(np.random.default_rng(seed)))
     lam = np.linalg.eigvals(right)[0]
     _, s, vh = np.linalg.svd(right - lam * np.eye(d))
-    ideal_dim = int(np.sum(s <= DEFAULT_TOL * mk.op_norm(right)))
+    ideal_dim = int(np.sum(s <= AXIOM_TOL * mk.op_norm(right)))
     if ideal_dim != n:
         raise PreconditionFailed(f"source algebra is not simple: a minimal left ideal "
                                  f"has dim {ideal_dim}, not {n}; it must be M_{n}")
     q = vh[-n:].conj().T  # orthonormal basis of the left ideal A e
     phi = np.stack([(q.conj().T @ a.left_op(e) @ q).ravel() for e in np.eye(d)], 1)
     rep = verify_isomorphism(phi, a, matrix_algebra(n))
-    if rep.max_residual > DEFAULT_TOL or not rep.invertible:
+    if rep.max_residual > AXIOM_TOL or not rep.invertible:
         raise DecompositionInconclusive(f"isomorphism residual {rep.max_residual:.2e}, "
                                         f"condition {rep.condition:.2e}")
     return WedderburnSolution(phi=phi, target_dim=n, residual=rep.max_residual,

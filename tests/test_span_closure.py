@@ -89,7 +89,7 @@ def _check_ternary(m, spans):
     for span in spans:
         want = _ternary_reference(m, span)
         assert abs(emb._ternary_ideal_residual(m, span) - want) <= TOL
-        assert idl.is_ideal(m, span) == (want <= idl.DEFAULT_TOL)
+        assert idl.is_ideal(m, span) == (want <= tern.AXIOM_TOL)
 
 
 def _check_assoc(e, span):
