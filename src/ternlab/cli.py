@@ -218,7 +218,7 @@ def _cmd_embed(m, name, args):
         "cstar_witness": None if wit is None else {
             "element": _encode_array(wit[0].coords), "gap": wit[1]},
     }
-    passed = gap > 1e-9 and hom_resid <= max(args.tol, 1e-9)
+    passed = gap > tern.DEFAULT_TOL and hom_resid <= max(args.tol, tern.DEFAULT_TOL)
     return passed, details
 
 
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $TERNLAB_SEED or 0)")
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-8)
+            p.add_argument("--tol", type=_tolerance, default=tern.DEFAULT_TOL)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     for name in ("verify", "decompose", "embed", "radical", "wedderburn"):

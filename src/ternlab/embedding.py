@@ -37,6 +37,7 @@ from . import matkernel as mk
 from .errors import DecompositionInconclusive, NotAnIdeal, ShapeError
 from .ternary import (
     AXIOM_TOL,
+    DEFAULT_TOL,
     TernaryElement,
     TernarySpace,
     _block_slices,
@@ -46,7 +47,6 @@ from .ternary import (
     random_coords,
 )
 
-DEFAULT_TOL = 1e-9  # the span checks of products
 UNIT_TOL = 1e-10  # identity_of's unit check
 
 CORNERS = ("L", "M", "Mbar", "R")
@@ -229,10 +229,10 @@ class StandardEmbedding:
         coords = x.coords if isinstance(x, TernaryElement) else np.asarray(x)
         return [b.materialize(coords[..., s]) for b, s in zip(self.blocks, self.block_slices)]
 
-    def _split(self, mats, tol):
+    def _split(self, mats):
         """Coordinates of per-block big matrices; InvalidInput when one
         leaves its block's span."""
-        return [_span_coords(b.split, big, tol, _MATRIX_LEAVES_SPAN)
+        return [_span_coords(b.split, big, DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
                 for b, big in zip(self.blocks, mats)]
 
     def norm(self, x) -> float:
@@ -242,10 +242,10 @@ class StandardEmbedding:
 
     # -- algebra operations --------------------------------------------------
 
-    def mul_coords(self, xa, xb, tol=DEFAULT_TOL):
+    def mul_coords(self, xa, xb):
         """Batched product on coordinate arrays (..., dim)."""
         out = self._split([b.mul_big(x, y) for b, x, y in
-                           zip(self.blocks, self.materialize(xa), self.materialize(xb))], tol)
+                           zip(self.blocks, self.materialize(xa), self.materialize(xb))])
         if not out:
             lead = np.broadcast_shapes(np.shape(xa)[:-1], np.shape(xb)[:-1])
             return np.zeros(lead + (0,), dtype=np.complex128)
@@ -269,8 +269,7 @@ class StandardEmbedding:
 
     def star_coords(self, coords):
         """Involution on coordinates: the adjoint of the block matrix."""
-        out = self._split([np.swapaxes(m, -1, -2).conj() for m in self.materialize(coords)],
-                          DEFAULT_TOL)
+        out = self._split([np.swapaxes(m, -1, -2).conj() for m in self.materialize(coords)])
         if not out:
             return np.zeros_like(np.asarray(coords))
         return np.concatenate(out, axis=-1)

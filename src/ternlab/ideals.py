@@ -135,8 +135,9 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
     own corner.  Returns the four parts side by side, an orthonormal column
     basis in embedding coordinates, once I passes ``is_ideal`` and the parts
     pass the graded product check ``_assoc_ideal_residual``, both within
-    AXIOM_TOL (NotAnIdeal otherwise).  An ideal of another space than
-    ``e.base`` raises NotAnIdeal.
+    AXIOM_TOL, and L(I) and R(I) their corners' span checks at DEFAULT_TOL
+    (NotAnIdeal otherwise).  An ideal of another space than ``e.base`` raises
+    NotAnIdeal.
     """
     if not _same_space(ideal.parent, e.base):
         raise NotAnIdeal("ideal does not belong to the embedded space")
@@ -149,7 +150,7 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
     parts = {"M": placed[0].T, "Mbar": placed[1].T}
     try:
         for corner, (x, y) in (("L", placed), ("R", placed[::-1])):
-            prods = e.mul_coords(x[:, None], y[None], AXIOM_TOL)[..., idx[corner]]
+            prods = e.mul_coords(x[:, None], y[None])[..., idx[corner]]
             q = mk.colspace(prods.reshape(-1, len(idx[corner])).T)
             parts[corner] = np.zeros((e.dim, q.shape[1]), dtype=np.complex128)
             parts[corner][idx[corner]] = q
@@ -181,7 +182,7 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal) -> TernarySpace:
     The coset product is well defined exactly when [J M M], [M J M] and
     [M M J] lie in J, which ``is_ideal`` checks first (NotAnIdeal
     otherwise); the induced structure constants are then validated as a
-    ternary ring.
+    ternary ring at DEFAULT_TOL.
     """
     if not _same_space(ideal.parent, m):
         raise NotAnIdeal("ideal does not belong to this space")
@@ -192,7 +193,7 @@ def quotient(m: TernarySpace, ideal: TernaryIdeal) -> TernarySpace:
         return _empty_space()
     # coset coordinates: [J | C] is unitary, so the C part is v @ conj(C)
     c = _restricted_products(m, comp) @ comp.conj()
-    return TernarySpace.from_structure(c, validate=True, tol=AXIOM_TOL)
+    return TernarySpace.from_structure(c)
 
 
 def quotient_zettl_dims(m: TernarySpace, ideal: TernaryIdeal) -> tuple:

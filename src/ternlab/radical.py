@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel as mk
-from .embedding import StandardEmbedding, _corner_part, build_embedding
+from .embedding import CORNER_PRODUCTS, StandardEmbedding, _corner_part, build_embedding
 from .errors import (
     BorderlineWarning,
     DecompositionInconclusive,
@@ -26,8 +26,8 @@ from .errors import (
     PreconditionFailed,
     ShapeError,
 )
-from .ternary import (AXIOM_TOL, TernarySpace, _triple_coords, as_coords, operator_pairs,
-                      random_coords)
+from .ternary import (AXIOM_TOL, SignedBlock, StructureConstants, TernarySpace, _triple_coords,
+                      as_coords, operator_pairs, random_coords)
 
 DEFAULT_TOL = 1e-9  # the quasi-inverse solve, the nilpotency chain's ranks
 BORDERLINE_TOL = 1e-6
@@ -111,17 +111,10 @@ class AssocAlgebra:
 
 # (b_i b_j) b_k against b_i (b_j b_k) on the basis, as matkernel sweeps
 _ASSOC_SWEEP = ("ijm,mkl->ijkl", ("jkm,iml->ijkl",))
-# The four corners A, f, gbar, B of a linking algebra [[A, f], [gbar, B]] as
-# grades 0-3, grade 2 p + q for the corner in row p and column q.  A product of
-# grades x and y can be nonzero only when x's column is y's row, and then lies
-# in the grade with x's row and y's column.  That leaves 8 composable pairs and
-# 16 composable triples.
-_PAIRS = tuple((x, y) for x in range(4) for y in range(4) if x & 1 == y >> 1)
-_TRIPLES = tuple((x, y, z) for x, y in _PAIRS for z in range(4) if y & 1 == z >> 1)
-
-
-def _product_grade(x: int, y: int) -> int:
-    return (x & 2) | (y & 1)
+# the product corner of each composable pair of corners, and the 16 composable
+# triples (x, y, z): x·y and y·z both composable
+_PRODUCT = {(x, y): t for x, y, t in CORNER_PRODUCTS}
+_TRIPLES = tuple((x, y, z) for x, y in _PRODUCT for v, z in _PRODUCT if v == y)
 
 
 def _assoc_residual(table: np.ndarray) -> float:
@@ -147,11 +140,11 @@ def _graded_gap(blocks: dict) -> float:
     """The dense loop's residual on a table graded by the corners of a
     linking algebra, one pair of matmuls per composable triple (every other
     triple's products are zero).  ``blocks[x, y]`` (C-contiguous) holds the
-    coordinates of the products of grade x with grade y in their grade."""
+    coordinates of the products of corner x with corner y in their corner."""
     resid = 0.0
     for x, y, z in _TRIPLES:
-        xy, yz = _product_grade(x, y), _product_grade(y, z)
-        # both sides of (b_i b_j) b_k = b_i (b_j b_k) for b_i, b_j, b_k of grades
+        xy, yz = _PRODUCT[x, y], _PRODUCT[y, z]
+        # both sides of (b_i b_j) b_k = b_i (b_j b_k) for b_i, b_j, b_k of corners
         # x, y, z, laid out as (i, (j, k), l)
         (ni, nj, nm), (nk, nl) = blocks[x, y].shape, blocks[xy, z].shape[1:]
         lhs = blocks[x, y].reshape(ni * nj, nm) @ blocks[xy, z].reshape(nm, nk * nl)
@@ -340,11 +333,17 @@ def m_corner(rad: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
 
 def _ambient(m: TernarySpace) -> tuple:
     """(A, M-corner indices): the embedding on block input, the structure
-    envelope on structure input; Rad A ∩ M is the radical of m."""
+    envelope on structure input; Rad A ∩ M is the radical of m.  Both are
+    built from m divided by the power of two that brings its largest entry
+    (over every block stack, or |c|max) into [1, 2): an exact division, under
+    which the radical, a subspace of the coordinates, stays as it is."""
+    data = [b.stack for b in m.blocks] if m.is_block else [m.structure.c]
+    s = np.ldexp(1.0, np.frexp(max(mk.unit_scale(a) for a in data))[1] - 1)
     if m.is_block:
-        e = build_embedding(m)
+        e = build_embedding(TernarySpace(blocks=[SignedBlock(b.sign, b.rows, b.cols, b.stack / s)
+                                                 for b in m.blocks]))
         return assoc_of_embedding(e), e.corner_indices["M"]
-    return structure_envelope(m)
+    return structure_envelope(TernarySpace(structure=StructureConstants(m.dim, m.structure.c / s)))
 
 
 def ternary_radical(m: TernarySpace) -> np.ndarray:
@@ -393,9 +392,8 @@ def structure_envelope(m: TernarySpace):
     r_basis = mk.colspace(r_pairs.reshape(d * d, -1).T)
     dk, dr = l_basis.shape[1], r_basis.shape[1]
     n = dk + d + d + dr
-    # the corners A, f, gbar, B as grades 0-3
-    cuts = (0, dk, dk + d, dk + 2 * d, n)
-    grades = tuple(map(slice, cuts[:-1], cuts[1:]))
+    # the coordinates of the corners A, f, gbar, B: CORNERS' L, M, Mbar and R
+    at = np.split(np.arange(n), np.cumsum((dk, d, d)))
 
     def coords(basis, prods, corner):
         # coordinates of stacked pairs (..., 2 d^2) in the orthonormal basis,
@@ -425,12 +423,12 @@ def structure_envelope(m: TernarySpace):
         (3, 2): b2.transpose(0, 2, 1),                  # b2 s'
     }
     table = np.zeros((n, n, n), dtype=np.complex128)
-    for (x, y), block in blocks.items():
-        table[grades[x], grades[y], grades[_product_grade(x, y)]] = block
+    for x, y, t in CORNER_PRODUCTS:     # as StandardEmbedding.table fills its blocks
+        table[np.ix_(at[x], at[y], at[t])] = blocks[x, y]
     scale = max(float(np.abs(v).max(initial=0.0)) for v in blocks.values()) or 1.0
     _require_associative(_graded_gap({k: np.ascontiguousarray(v) / scale
                                       for k, v in blocks.items()}))
-    return AssocAlgebra(table=table), np.arange(dk, dk + d)
+    return AssocAlgebra(table=table), at[1]
 
 
 # ---------------------------------------------------------------------------

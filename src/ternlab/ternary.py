@@ -28,8 +28,8 @@ from .errors import (
     ShapeError,
 )
 
-DEFAULT_TOL = 1e-9
-AXIOM_TOL = 1e-8  # the acceptance of the axiom, associativity, ideal and decomposition checks
+DEFAULT_TOL = 1e-9  # closure: a span's basis products, a tensor's associativity identities
+AXIOM_TOL = 1e-8  # derived objects: ideals, algebras, Peirce parts, support projections, Wedderburn
 STRUCTURE_TOL = 1e-10  # structure_constants_of's span check
 # unit roundoff of float64
 _UNIT = np.finfo(np.float64).eps / 2
@@ -204,17 +204,18 @@ class SignedBlock:
         _, resid = self.project(prods.reshape(-1, self.rows, self.cols))
         return resid / mk.unit_scale(prods)
 
-    def check_independent(self, tol: float = DEFAULT_TOL):
+    def check_independent(self):
         """InvalidInput unless the basis is linearly independent."""
         s = np.linalg.svd(self.flat, compute_uv=False)
-        if s[-1] <= tol * s[0]:
+        if s[-1] <= DEFAULT_TOL * s[0]:
             raise InvalidInput("block basis is not linearly independent "
                                f"(Gram condition {s[-1] / s[0]:.2e})")
 
-    def validate(self, tol: float = DEFAULT_TOL):
-        self.check_independent(tol)
+    def validate(self):
+        """InvalidInput unless the basis is independent and its span closed within DEFAULT_TOL."""
+        self.check_independent()
         resid = self.closure_residual()
-        if resid > tol:
+        if resid > DEFAULT_TOL:
             raise InvalidInput(f"block span is not product-closed "
                                f"(residual {resid:.2e})")
 
@@ -358,12 +359,12 @@ class StructureConstants:
                 return "assoc_bound", bound
         return "assoc_basis", self.associativity_residual()
 
-    def validate(self, tol: float = DEFAULT_TOL):
+    def validate(self):
         """InvalidInput unless both associativity identities hold on the basis
-        within tol, decided as ``check_axioms`` decides them: on the
+        within DEFAULT_TOL, decided as ``check_axioms`` decides them: on the
         certificate where it passes, else on the exact sweep."""
-        resid = self._assoc_verdict(tol)[1]
-        if resid > tol:
+        resid = self._assoc_verdict(DEFAULT_TOL)[1]
+        if resid > DEFAULT_TOL:
             raise InvalidInput(f"associativity identities fail on the basis "
                                f"(residual {resid:.2e})")
 
@@ -428,19 +429,19 @@ class TernarySpace:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_blocks(cls, blocks, validate: bool = True, tol: float = DEFAULT_TOL):
+    def from_blocks(cls, blocks, validate: bool = True):
         space = cls(blocks=tuple(blocks))
         if validate:
             for b in space.blocks:
-                b.validate(tol)
+                b.validate()
         return space
 
     @classmethod
-    def from_structure(cls, c, validate: bool = True, tol: float = DEFAULT_TOL):
+    def from_structure(cls, c, validate: bool = True):
         c = np.asarray(c, dtype=np.complex128)
         sc = StructureConstants(dim=c.shape[0] if c.ndim == 4 else 0, c=c)
         if validate:
-            sc.validate(tol)
+            sc.validate()
         return cls(structure=sc)
 
     # -- shape ------------------------------------------------------------
@@ -667,8 +668,7 @@ def ternary_closure(generators, sign: int) -> TernarySpace:
         new_span = mk.colspace(np.hstack([span, prods.T]))
         if new_span.shape[1] in (span.shape[1], rows * cols):
             basis = tuple(new_span.T.reshape(-1, rows, cols))
-            return TernarySpace.from_blocks(
-                [SignedBlock(sign, rows, cols, basis)], validate=True, tol=AXIOM_TOL)
+            return TernarySpace.from_blocks([SignedBlock(sign, rows, cols, basis)])
         span = new_span
 
 
@@ -702,7 +702,7 @@ class AxiomReport:
         }
 
 
-def check_axioms(m: TernarySpace, tol: float = AXIOM_TOL) -> AxiomReport:
+def check_axioms(m: TernarySpace, tol: float = DEFAULT_TOL) -> AxiomReport:
     """The C*-ternary axioms, decided on the basis.
 
     Block presentations get ``closure``, the worst distance of a basis
@@ -768,7 +768,7 @@ def _subspace_restriction(m: TernarySpace, basis: np.ndarray,
     return TernarySpace(structure=StructureConstants(k, inside))
 
 
-def zettl_decompose(m: TernarySpace, tol: float = 1e-8) -> ZettlSplit:
+def zettl_decompose(m: TernarySpace, tol: float = DEFAULT_TOL) -> ZettlSplit:
     """Split M into its TRO-like and anti-TRO-like ideals.
 
     On each part the quadratic operator ``g -> [g f f]`` is positive

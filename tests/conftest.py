@@ -111,7 +111,7 @@ def scramble(m, rng, max_cond=20.0):
             break
     si = np.linalg.inv(s)
     c2 = np.einsum("pqrs,pi,qj,rk,ls->ijkl", c, s, s.conj(), s, si, optimize=True)
-    return tern.TernarySpace.from_structure(c2, validate=True, tol=1e-7), s
+    return tern.TernarySpace.from_structure(c2), s
 
 
 def cstar_identity_residual(e, samples=200, seed=0):

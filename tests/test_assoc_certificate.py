@@ -163,8 +163,9 @@ def test_dense_scramble_validates_without_the_sweep(scrambles, sweeps):
 @pytest.mark.parametrize("size", [1e-3, 1e-5, 1e-7, 3e-9, 1e-9, 1e-10, 1e-12])
 def test_axiom_verdicts_rest_on_the_exact_sweep(scrambles, tmp_path, size):
     # check_axioms and ``ternlab verify`` pass or fail exactly where the exact
-    # residual is within tol, and a failing report carries that residual; at
-    # 3e-9 the bound reads above tol and the sweep passes the tensors
+    # residual is within their default tol, tern.DEFAULT_TOL, and a failing
+    # report carries that residual; at 1e-9 the bound reads above tol and the
+    # sweep passes full-4x2-tro
     rng = np.random.default_rng(1300 + int(-np.log10(size)))
     for name, sc in scrambles.items():
         if sc.dim < mk.CERTIFICATE_MIN_DIM:
@@ -177,13 +178,13 @@ def test_axiom_verdicts_rest_on_the_exact_sweep(scrambles, tmp_path, size):
         out = io.StringIO()
         code = cli.main(["verify", str(path), "--format", "json"], out=out)
         reports = [tern.check_axioms(m).residuals, json.loads(out.getvalue())["details"]["residuals"]]
-        assert code == (0 if resid <= tern.AXIOM_TOL else 1), (name, resid)
+        assert code == (0 if resid <= tern.DEFAULT_TOL else 1), (name, resid)
         for residuals in reports:
             [(key, value)] = residuals.items()
             if key == "assoc_basis":
                 assert value == pytest.approx(resid, rel=1e-9), name
             else:
-                assert key == "assoc_bound" and resid <= value <= tern.AXIOM_TOL, name
+                assert key == "assoc_bound" and resid <= value <= tern.DEFAULT_TOL, name
 
 
 def test_small_or_sparse_input_reports_the_exact_sweep(catalog, scrambles):

@@ -177,6 +177,27 @@ def test_verify_non_closed_block_names_closure(tmp_path):
         assert cli.main(argv + [path]) == 2, argv
 
 
+@pytest.mark.parametrize("kind", ["blocks", "structure"])
+def test_verify_fails_what_the_other_commands_reject(tmp_path, kind):
+    # closure residuals of 3.0e-9 (span{E11 + 3e-9 E12, E22}) and 3.6e-9 (a
+    # scrambled full(2, 2, +1) with one entry raised by 2e-9 |c|max): above
+    # tern.DEFAULT_TOL, both the input gate and verify's default --tol
+    if kind == "blocks":
+        basis = (np.array([[1, 3e-9], [0, 0]]), np.diag([0.0, 1.0]))
+        m = tern.TernarySpace.from_blocks([tern.SignedBlock(+1, 2, 2, basis)], validate=False)
+    else:
+        c = np.array(scramble(tern.full_matrix_space(2, 2, +1), np.random.default_rng(0))[0]
+                     .structure.c)
+        c[0, 0, 0, 1] += 2e-9 * np.abs(c).max()
+        m = tern.TernarySpace.from_structure(c, validate=False)
+    path = _write(tmp_path, "near.json", cli.to_instance_dict(m, "near"))
+    code, rep = _run_json(["verify", path])
+    assert code == 1
+    assert tern.DEFAULT_TOL < rep["details"]["failing_residual"] < 1e-8
+    for argv in (["decompose"], ["embed"], ["radical"], ["wedderburn"]):
+        assert cli.main(argv + [path]) == 2, argv
+
+
 def test_demo_m2_anti_table():
     code, rep = _run_json(["demo", "m2-anti"])
     assert code == 0

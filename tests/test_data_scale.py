@@ -1,11 +1,13 @@
-"""Ideal checks and the Zettl split do not depend on the scale of the data.
+"""Ideal checks, the Zettl split and the radical do not depend on the scale
+of the data.
 
 ``ternary._ideal_products`` divides the basis products by the data scale
 (|c|max on structure input, the square of the largest block entry on block
-input), and ``zettl_decompose`` judges the trace operator's spectrum
-relative to its norm.  Multiplying the blocks or c by any t then leaves the
-generated ideals, the ``is_ideal`` verdicts and the Zettl dimensions as
-they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
+input), ``zettl_decompose`` judges the trace operator's spectrum relative to
+its norm, and ``radical._ambient`` builds its algebra from the data brought to
+unit scale.  Multiplying the blocks or c by any t then leaves the generated
+ideals, the ``is_ideal`` verdicts, the Zettl dimensions and the (zero)
+radical as they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
 """
 
 import io
@@ -49,14 +51,22 @@ def cases(catalog):
 
 
 @PROPERTY
-@given(st.data(), st.floats(-6.0, 6.0))
-def test_ideals_and_zettl_do_not_depend_on_the_data_scale(cases, data, exponent):
+@given(st.data(), st.floats(-1.0, 1.0))
+def test_ideals_zettl_and_radical_do_not_depend_on_the_data_scale(cases, tmp_path_factory,
+                                                                  data, x):
+    # t from 1e-6 to 1e6 on blocks, from 1e-10 to 1e10 on tensors
     m, gen, dim, verdicts, zettl = data.draw(st.sampled_from(cases))
-    ms = scaled(m, 10.0 ** exponent)
+    ms = scaled(m, 10.0 ** (x * (6 if m.is_block else 10)))
     ideal = idl.generated_ideal(ms, [gen])
     assert ideal.dim == dim
     assert (idl.is_ideal(ms, ideal.basis), idl.is_ideal(ms, gen[:, None])) == verdicts
     assert _zettl_dims(ms) == zettl
+    # every case is a C*-ternary ring, so semisimple
+    path = tmp_path_factory.mktemp("scaled") / "m.json"
+    path.write_text(json.dumps(cli.to_instance_dict(ms, "scaled")))
+    out = io.StringIO()
+    assert cli.main(["radical", str(path), "--format", "json"], out=out) == cli.EXIT_OK
+    assert json.loads(out.getvalue())["details"]["radical_dim"] == 0
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-3, 1e5])

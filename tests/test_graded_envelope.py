@@ -14,8 +14,13 @@ import pytest
 
 from conftest import scramble
 from test_sparse_sweeps import ABS, REL
+from ternlab import embedding as emb
 from ternlab import matkernel as mk
 from ternlab import radical as rad
+
+# the grading of the linking algebra: the product corner of each composable
+# pair of the corners A, f, gbar, B (the embedding's L, M, Mbar, R)
+PRODUCT = {(x, y): t for x, y, t in emb.CORNER_PRODUCTS}
 
 
 def _hand_off(m):
@@ -69,7 +74,7 @@ def _dense(table):
 
 
 def _block(table, grades, x, y):
-    return table[grades[x], grades[y], grades[rad._product_grade(x, y)]]
+    return table[grades[x], grades[y], grades[PRODUCT[x, y]]]
 
 
 def _gap(blocks):
@@ -81,7 +86,7 @@ def _gap(blocks):
 
 def test_clean_envelopes_sweep_graded(envelopes):
     for name, table, grades, blocks, resid in envelopes:
-        assert sorted(blocks) == sorted(rad._PAIRS), name
+        assert sorted(blocks) == sorted(PRODUCT), name
         scale = mk.unit_scale(table)
         rest = np.array(table)
         for (x, y), block in blocks.items():
@@ -94,7 +99,7 @@ def test_clean_envelopes_sweep_graded(envelopes):
         assert resid < 1e-14, name
 
 
-@pytest.mark.parametrize("pair", rad._PAIRS, ids=lambda p: "-".join("AfgB"[g] for g in p))
+@pytest.mark.parametrize("pair", list(PRODUCT), ids=lambda p: "-".join("AfgB"[g] for g in p))
 def test_corrupted_blocks_read_as_the_dense_loop(envelopes, pair):
     # A·A→A, f·gbar→A and B·B→B among them; each graded block once per envelope
     rng = np.random.default_rng(1804 + 4 * pair[0] + pair[1])
@@ -120,7 +125,7 @@ def test_random_graded_tables_read_as_the_dense_loop():
         grades = tuple(map(slice, cuts[:-1], cuts[1:]))
         t = np.zeros((cuts[-1],) * 3, dtype=np.complex128)
         blocks = {}
-        for x, y in rad._PAIRS:
+        for x, y in PRODUCT:
             shape = _block(t, grades, x, y).shape
             blocks[x, y] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             _block(t, grades, x, y)[...] = blocks[x, y]

@@ -426,10 +426,12 @@ def test_matrix_algebra_matches_loop():
 
 
 def test_structure_envelope_fails_on_overflow():
-    # c = 1e200: the 2-norms of the span check overflow, which must not pass it
+    # c = 1e200: the 2-norms of the span check overflow, which must not pass it;
+    # the radical builds its envelope from c brought to unit scale, so it reads 0
     m = tern.TernarySpace.from_structure(np.full((1, 1, 1, 1), 1e200), validate=False)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DecompositionInconclusive):
-        rad.ternary_radical(m)
+        rad.structure_envelope(m)
+    assert rad.ternary_radical(m).shape == (1, 0)
 
 
 @pytest.mark.parametrize("factor", [1e-4, 1e-8])

@@ -61,17 +61,10 @@ def test_every_export_has_a_caller():
 
 
 # The exported callables that take a ``tol``: the CLI's --tol sets check_axioms
-# and zettl_decompose, and the acceptance criteria set pi_norm_lower_bounds.  The
-# rest are called at two tolerances: mul_coords at 1e-9 (emb_mul, the norm-gap
-# check) and 1e-8 (embed_ideal); the constructors and the validators they
-# forward to at 1e-9 (parsing) and 1e-8 (ternary_closure, quotient).  Every
-# other check reads its module's constant.
-TOL_TAKERS = {
-    "check_axioms", "zettl_decompose", "pi_norm_lower_bounds",
-    "StandardEmbedding.mul_coords", "TernarySpace.from_blocks",
-    "TernarySpace.from_structure", "SignedBlock.validate",
-    "SignedBlock.check_independent", "StructureConstants.validate",
-}
+# and zettl_decompose, and the acceptance criteria set pi_norm_lower_bounds.
+# Every other check reads its module's constant; closure, that of the
+# constructors, their validators and mul_coords, is judged at ternary.DEFAULT_TOL.
+TOL_TAKERS = {"check_axioms", "zettl_decompose", "pi_norm_lower_bounds"}
 
 
 def _takes_tol(f) -> bool:
