@@ -223,14 +223,11 @@ def _cmd_embed(m, name, args):
 
 
 def _cmd_radical(m, name, args):
-    # the ambient algebra's radical once, for its dimension and its M-corner
-    alg, m_idx = rad._ambient(m)
-    erad = rad.jacobson_radical(alg)
-    basis = rad.m_corner(erad, m_idx)
+    basis, erad_dim, report = rad._radical(m)
     details = {"radical_dim": int(basis.shape[1]),
-               "semisimple": basis.shape[1] == 0}
+               "semisimple": basis.shape[1] == 0, **report}
     if m.is_block:
-        details["embedding_radical_dim"] = int(erad.shape[1])
+        details["embedding_radical_dim"] = erad_dim
     # valid instances are semisimple; a nonzero radical is a property failure
     return details["semisimple"], details
 

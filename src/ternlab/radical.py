@@ -5,8 +5,9 @@ complex numbers is computed by the trace-form criterion on the
 unitization (x is radical iff tr(L_{x a}) = 0 for every a, including
 the adjoined unit), then certified exactly: it is an ideal, its powers
 fall to zero, and the quotient by it has no radical.  Ternary radicals
-are the M-corner of the radical of the standard embedding (or of the
-structure envelope).
+are first tried on the d×d trace form of M itself, whose nondegeneracy
+proves Rad M = 0; otherwise they are the M-corner of the radical of the
+standard embedding (or of the structure envelope).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     PreconditionFailed,
     ShapeError,
 )
-from .ternary import (AXIOM_TOL, SignedBlock, StructureConstants, TernarySpace, _triple_coords,
-                      as_coords, operator_pairs, random_coords)
+from .ternary import (_UNIT, AXIOM_TOL, SignedBlock, StructureConstants, TernarySpace,
+                      _triple_coords, as_coords, operator_pairs, random_coords)
 
 DEFAULT_TOL = 1e-9  # the quasi-inverse solve, the nilpotency chain's ranks
 BORDERLINE_TOL = 1e-6
@@ -331,25 +332,175 @@ def m_corner(rad: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
     return _corner_part(rad, m_idx)[m_idx]
 
 
+def _unit_space(m: TernarySpace) -> TernarySpace:
+    """m divided by the power of two that brings its largest entry (over every
+    block stack, or |c|max) into [1, 2): an exact division, under which the
+    radical, a subspace of the coordinates, stays as it is."""
+    data = [b.stack for b in m.blocks] if m.is_block else [m.structure.c]
+    s = np.ldexp(1.0, np.frexp(max((mk.unit_scale(a) for a in data), default=1.0))[1] - 1)
+    if m.is_block:
+        return TernarySpace(blocks=[SignedBlock(b.sign, b.rows, b.cols, b.stack / s)
+                                    for b in m.blocks])
+    return TernarySpace(structure=StructureConstants(m.dim, m.structure.c / s))
+
+
 def _ambient(m: TernarySpace) -> tuple:
     """(A, M-corner indices): the embedding on block input, the structure
     envelope on structure input; Rad A ∩ M is the radical of m.  Both are
-    built from m divided by the power of two that brings its largest entry
-    (over every block stack, or |c|max) into [1, 2): an exact division, under
-    which the radical, a subspace of the coordinates, stays as it is."""
-    data = [b.stack for b in m.blocks] if m.is_block else [m.structure.c]
-    s = np.ldexp(1.0, np.frexp(max(mk.unit_scale(a) for a in data))[1] - 1)
+    built from ``_unit_space(m)``."""
+    m = _unit_space(m)
     if m.is_block:
-        e = build_embedding(TernarySpace(blocks=[SignedBlock(b.sign, b.rows, b.cols, b.stack / s)
-                                                 for b in m.blocks]))
+        e = build_embedding(m)
         return assoc_of_embedding(e), e.corner_indices["M"]
-    return structure_envelope(TernarySpace(structure=StructureConstants(m.dim, m.structure.c / s)))
+    return structure_envelope(m)
+
+
+# the SVD's backward error: the singular values computed for a d×d matrix T
+# are exact for some T + F with ‖F‖₂ <= _SVD_BACKWARD d² u ‖T‖_F (Householder
+# bidiagonalization's worst case is of order d² u ‖T‖_F; the LAPACK Users'
+# Guide gives 2 u ‖T‖₂ as the usual error bound)
+_SVD_BACKWARD = 8
+
+
+def _gamma(n: int) -> float:
+    """2 γ_{n+2}, with γ_k = k u / (1 - k u): a computed complex sum of n
+    products differs from the exact one by at most √2 γ_{n+2} times the sum of
+    the products' moduli (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §3.6), so a matmul with inner dimension n, or a sum of n
+    terms, errs entrywise by at most ``_gamma(n)`` |A| |B|."""
+    k = 2 * (n + 2) * _UNIT
+    return k / (1 - k)
+
+
+def _structure_trace_form(c: np.ndarray) -> tuple:
+    """(τ, e): τ[a, b] = sum_i c[a, b, i, i] and a bound e on ‖τ - exact τ‖₂.
+
+    Each entry is a sum of d terms, so it errs by at most
+    ``_gamma(d)`` sum_i |c[a, b, i, i]|, and e is the Frobenius norm of those
+    bounds, raised by 1 + ``_gamma(d * d)`` for the rounding of its own sums.
+    """
+    d = len(c)
+    tau = np.einsum("abii->ab", c)
+    mods = np.abs(np.einsum("abii->abi", c)).sum(axis=-1)
+    return tau, _gamma(d) * float(np.linalg.norm(mods)) * (1 + _gamma(d * d))
+
+
+def _block_trace_form(b: SignedBlock) -> tuple:
+    """(τ, e) for one signed block: τ[a, b'] = sign <x_b', G x_a>_HS and a bound
+    e on ‖τ - exact τ‖₂.
+
+    τ(x, y) is the trace of z -> sign x y* z on the span V of the basis
+    x_1..x_k (r×c matrices), compressed to V by the orthogonal projection P
+    as ``project`` compresses it: with y_k the basis of V dual to the x_k,
+    tr(P L P) = sum_k <y_k, sign x y* x_k> = sign tr(y* G x) with
+    G = sum_k x_k y_k* = sum_{k,m} (H⁻¹)[k, m] x_k x_m* (r×r) and H the Gram
+    matrix H[k, m] = <x_k, x_m>.  No triple product is formed.
+
+    The bound.  N approximates H⁻¹; τ_N, the τ of any N, is linear in N and
+    |τ_N[a, b']| <= ‖N‖₂ S ‖x_a‖ ‖x_b'‖, S = sum_k ‖x_k‖² (Cauchy-Schwarz over
+    the entries of x_k* x_b' and x_m* x_a), so ‖τ_N‖_F <= ‖N‖₂ S².  With
+    R = N H - I, ‖H⁻¹ - N‖₂ <= ‖N‖ ρ / (1 - ρ) for any ρ >= ‖R‖₂ below 1, and
+    ρ is the computed ‖N Ĥ - I‖_F plus 3 γ ‖N‖_F S for the rounding of Ĥ
+    (at most γ S) and of that product (γ = ``_gamma`` of the largest inner
+    dimension).  The four matmuls from N to τ each err by at most
+    γ ‖A‖_F ‖B‖_F on top of their propagated inputs, in all at most
+    5 γ ‖N‖_F S².  So ‖τ - τ̂‖_F <= S² ‖N‖_F (ρ / (1 - ρ) + 5 γ), raised by 1 + γ
+    for the bound's own norms; inf when ρ >= 1.
+    """
+    k, r, c = b.stack.shape
+    x = b.flat
+    h = x.conj() @ x.T
+    n = np.linalg.pinv(h)
+    # y_m = sum_k N[k, m] x_k and G = sum_m y_m x_m*, as (r, k c) @ (k c, r)
+    xr = b.stack.transpose(1, 0, 2).reshape(r, k * c)
+    y = (n.T @ x).reshape(k, r, c).transpose(1, 0, 2).reshape(r, k * c)
+    z = ((y @ xr.conj().T) @ b.stack).reshape(k, r * c)    # row a: G x_a
+    tau = b.sign * (z @ x.conj().T)
+    gam = _gamma(k * (r * c + k))
+    sq, nn = float(np.vdot(x, x).real), float(np.linalg.norm(n))
+    rho = float(np.linalg.norm(n @ h - np.eye(k))) + 3 * gam * nn * sq
+    if rho >= 1:
+        return tau, np.inf
+    return tau, sq * sq * nn * (rho / (1 - rho) + 5 * gam) * (1 + gam)
+
+
+def _trace_form_certificate(m: TernarySpace) -> tuple:
+    """(σ_min, bound, (n₊, n₋)) of the trace form τ(x, y) = tr L(x, y) of m,
+    where L(x, y) z = [x y z].
+
+    For x in Rad M, τ(x, ·) = 0 (Loos, *Assoziative Tripelsysteme*,
+    Manuscripta Math. 7, 1972): for every y, x ȳ lies in the radical of the
+    ambient algebra, so it is nilpotent, and L(x, y) is its left
+    multiplication restricted to the invariant subspace M, of trace 0.  So
+    a nondegenerate τ proves Rad M = 0, and σ_min > bound proves τ
+    nondegenerate: ``bound`` covers |σ_min(τ) - σ_min| for the exact τ of
+    the data.
+
+    τ is the d×d matrix τ[a, b] = tr L(b_a, b_b): ``_structure_trace_form``
+    on structure input, ``_block_trace_form`` per block on block input (τ
+    vanishes between blocks).  The computed τ̂ is within e of τ (2-norm),
+    and its computed singular values are exact for τ̂ + F,
+    ‖F‖₂ <= ``_SVD_BACKWARD`` d² u ‖τ̂‖_F, so by Weyl's inequality every
+    computed singular value is within e + ‖F‖₂ of τ's; that sum, raised by
+    1 + ``_gamma(d * d)`` for its own rounding, is ``bound``.  (n₊, n₋)
+    counts the eigenvalues of τ̂'s Hermitian part above ``bound`` and below
+    -``bound``: the inertia of τ where τ is Hermitian and σ_min > bound, as
+    on every C*-ternary ring, where τ is definite with each Zettl part's sign.
+    A 0-dimensional space gets σ_min = inf.
+    """
+    d = m.dim
+    if d == 0:
+        return np.inf, 0.0, (0, 0)
+    if m.is_block:
+        tau = np.zeros((d, d), dtype=np.complex128)
+        err = 0.0
+        for b, sl in zip(m.blocks, m.block_slices):
+            tau[sl, sl], e = _block_trace_form(b)
+            err = max(err, e)
+    else:
+        tau, err = _structure_trace_form(m.structure.c)
+    sigma = float(np.linalg.svd(tau, compute_uv=False)[-1])
+    back = _SVD_BACKWARD * d * d * _UNIT * float(np.linalg.norm(tau))
+    bound = (err + back) * (1 + _gamma(d * d))
+    lam = np.linalg.eigvalsh((tau + tau.conj().T) / 2)
+    return sigma, bound, (int(np.sum(lam > bound)), int(np.sum(lam < -bound)))
+
+
+def _radical(m: TernarySpace) -> tuple:
+    """(basis, the ambient algebra's radical dimension, report): the one path
+    of ``ternary_radical`` and ``ternlab radical``.
+
+    The trace-form certificate runs first, on ``_unit_space(m)``.  When
+    σ_min > bound, Rad M = 0, and on block input the radical of the
+    embedding A = L ⊕ M ⊕ M̄ ⊕ R is 0 too.  Rad A is an ideal and the
+    corner units p (of L) and q (of R) sum to 1, so Rad A is graded by the
+    corners: J_X = Rad A ∩ X for X = L, M, M̄, R.  J_M = Rad M = 0.  Then
+    J_L M lies in J_M = 0; L = span(M M̄) contains p, so j = j p, a sum of
+    terms (j m) n̄ = 0, for every j in J_L: J_L = 0.  Likewise M J_R lies in
+    J_M and R = span(M̄ M) contains q, so J_R = 0; and J_M̄ M lies in J_R = 0,
+    so J_M̄ = 0 through p again.
+
+    Otherwise the radical is Rad A ∩ M for the ambient algebra of
+    ``_ambient``.  The report holds ``decided_by`` ("trace_form" or
+    "ambient") and the certificate's ``sigma_min``, ``bound`` and ``margin``
+    (σ_min - bound), each None where it is not finite.
+    """
+    sigma, bound, _ = _trace_form_certificate(_unit_space(m))
+    report = {"decided_by": "trace_form"}
+    for key, v in (("sigma_min", sigma), ("bound", bound), ("margin", sigma - bound)):
+        report[key] = float(v) if np.isfinite(v) else None
+    if sigma > bound:
+        return np.zeros((m.dim, 0), dtype=np.complex128), 0, report
+    alg, m_idx = _ambient(m)
+    erad = jacobson_radical(alg)
+    return m_corner(erad, m_idx), int(erad.shape[1]), {**report, "decided_by": "ambient"}
 
 
 def ternary_radical(m: TernarySpace) -> np.ndarray:
     """Basis (columns, base coordinates) of the radical of a ternary ring.
 
-    Computed as Rad A(M) ∩ M via the Peirce corner of the embedding;
+    Zero where the trace form of m certifies it (``_radical``).  Otherwise
+    computed as Rad A(M) ∩ M via the Peirce corner of the embedding;
     structure presentations route through the abstract envelope built
     from the structure constants.  The corner needs no audit of its
     own: for x in Rad A ∩ M every x ū lies in the certified Rad A, so it
@@ -357,10 +508,7 @@ def ternary_radical(m: TernarySpace) -> np.ndarray:
     ``check_corner_qi_equivalence``) x is ternary quasi-invertible in
     every homotope.
     """
-    if m.dim == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    alg, m_idx = _ambient(m)
-    return m_corner(jacobson_radical(alg), m_idx)
+    return _radical(m)[0]
 
 
 # ---------------------------------------------------------------------------

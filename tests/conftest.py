@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ternlab import radical as rad
 from ternlab import ternary as tern
 
 
@@ -112,6 +113,12 @@ def scramble(m, rng, max_cond=20.0):
     si = np.linalg.inv(s)
     c2 = np.einsum("pqrs,pi,qj,rk,ls->ijkl", c, s, s.conj(), s, si, optimize=True)
     return tern.TernarySpace.from_structure(c2), s
+
+
+def no_certificate(monkeypatch):
+    """Takes the trace-form certificate out: ``radical._radical`` then
+    decides every radical on the ambient algebra."""
+    monkeypatch.setattr(rad, "_trace_form_certificate", lambda m: (0.0, np.inf, (0, 0)))
 
 
 def cstar_identity_residual(e, samples=200, seed=0):

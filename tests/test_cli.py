@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scramble
+from conftest import no_certificate, scramble
 from ternlab import cli
 from ternlab import embedding as emb
 from ternlab import radical as rad
@@ -88,13 +88,18 @@ def test_decompose_pure_anti(tmp_path):
 
 
 def test_radical_report(mixed_file):
+    # the trace form of full(2, 2, +1) ⊕ C(-1) is diag(2, 2, 2, 2, -1)
     code, rep = _run_json(["radical", mixed_file])
     assert code == 0
-    assert rep["details"] == {"radical_dim": 0, "semisimple": True,
-                              "embedding_radical_dim": 0}
+    d = rep["details"]
+    assert d == {"radical_dim": 0, "semisimple": True, "embedding_radical_dim": 0,
+                 "decided_by": "trace_form", "sigma_min": 1.0,
+                 "bound": d["bound"], "margin": 1.0 - d["bound"]}
+    assert 0 < d["bound"] < 1e-10
 
 
 def test_radical_builds_the_embedding_algebra_once(mixed_file, monkeypatch):
+    # none on a file the trace form certifies, once on the ambient path
     calls = []
     original = rad.assoc_of_embedding
 
@@ -105,7 +110,11 @@ def test_radical_builds_the_embedding_algebra_once(mixed_file, monkeypatch):
     monkeypatch.setattr(rad, "assoc_of_embedding", counted)
     code, rep = _run_json(["radical", mixed_file])
     assert code == 0 and rep["details"]["embedding_radical_dim"] == 0
-    assert len(calls) == 1
+    assert rep["details"]["decided_by"] == "trace_form" and calls == []
+    no_certificate(monkeypatch)
+    code, rep = _run_json(["radical", mixed_file])
+    assert code == 0 and rep["details"]["embedding_radical_dim"] == 0
+    assert rep["details"]["decided_by"] == "ambient" and len(calls) == 1
 
 
 def test_embed_report(mixed_file):
@@ -319,7 +328,11 @@ def _radical_file(tmp_path):
 def test_radical_reports_nonzero_radical(tmp_path):
     code, rep = _run_json(["radical", _radical_file(tmp_path)])
     assert code == 1
-    assert rep["details"] == {"radical_dim": 1, "semisimple": False}
+    # its trace form is diag(1, 0): the certificate fails and the ambient path decides
+    d = rep["details"]
+    assert d == {"radical_dim": 1, "semisimple": False, "decided_by": "ambient",
+                 "sigma_min": 0.0, "bound": d["bound"], "margin": -d["bound"]}
+    assert 0 < d["bound"] < 1e-13
 
 
 def test_radical_and_quotient_ignore_seed(tmp_path, mixed_file):

@@ -12,7 +12,7 @@ corruptions inside each of the 8 blocks, and on random graded tables.
 import numpy as np
 import pytest
 
-from conftest import scramble
+from conftest import no_certificate, scramble
 from test_sparse_sweeps import ABS, REL
 from ternlab import embedding as emb
 from ternlab import matkernel as mk
@@ -132,8 +132,13 @@ def test_random_graded_tables_read_as_the_dense_loop():
         assert _gap(blocks) == pytest.approx(_dense(t), rel=1e-12), cuts
 
 
-def test_radical_validates_the_envelope_graded(catalog, graded_calls):
-    # full-4x2-tro, d = 8: an envelope of 16 + 8 + 8 + 4 = 36 dimensions
+def test_radical_validates_the_envelope_graded(catalog, graded_calls, monkeypatch):
+    # full-4x2-tro, d = 8: an envelope of 16 + 8 + 8 + 4 = 36 dimensions; its
+    # trace form certifies the radical without one, so the envelope is built
+    # only with the certificate taken out
     m = scramble(dict(catalog)["full-4x2-tro"], np.random.default_rng(1806))[0]
+    assert rad.ternary_radical(m).shape[1] == 0
+    assert graded_calls == []
+    no_certificate(monkeypatch)
     assert rad.ternary_radical(m).shape[1] == 0
     assert graded_calls == [8]
