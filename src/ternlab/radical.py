@@ -30,7 +30,7 @@ from .errors import (
 from .ternary import (_UNIT, AXIOM_TOL, SignedBlock, StructureConstants, TernarySpace,
                       _triple_coords, as_coords, operator_pairs, random_coords)
 
-DEFAULT_TOL = 1e-9  # the quasi-inverse solve, the nilpotency chain's ranks
+DEFAULT_TOL = 1e-9  # the quasi-inverse solve, the nilpotency chain's ranks, the trace form's σ_min
 BORDERLINE_TOL = 1e-6
 
 
@@ -355,10 +355,11 @@ def _ambient(m: TernarySpace) -> tuple:
     return structure_envelope(m)
 
 
-# the SVD's backward error: the singular values computed for a d×d matrix T
-# are exact for some T + F with ‖F‖₂ <= _SVD_BACKWARD d² u ‖T‖_F (Householder
-# bidiagonalization's worst case is of order d² u ‖T‖_F; the LAPACK Users'
-# Guide gives 2 u ‖T‖₂ as the usual error bound)
+# the SVD's backward error, an estimate and not a proven bound: the singular
+# values computed for a d×d matrix T are taken to be exact for some T + F with
+# ‖F‖₂ <= _SVD_BACKWARD d² u ‖T‖_F.  The LAPACK Users' Guide (§4.9) states
+# that error as p(d) u ‖T‖₂ with p "a modestly growing function" it does not
+# give, and its own approximate error bound takes p = 1.
 _SVD_BACKWARD = 8
 
 
@@ -425,32 +426,34 @@ def _block_trace_form(b: SignedBlock) -> tuple:
 
 
 def _trace_form_certificate(m: TernarySpace) -> tuple:
-    """(σ_min, bound, (n₊, n₋)) of the trace form τ(x, y) = tr L(x, y) of m,
-    where L(x, y) z = [x y z].
+    """(σ_min, bound) of the trace form τ(x, y) = tr L(x, y) of m, where
+    L(x, y) z = [x y z].
 
     For x in Rad M, τ(x, ·) = 0 (Loos, *Assoziative Tripelsysteme*,
     Manuscripta Math. 7, 1972): for every y, x ȳ lies in the radical of the
     ambient algebra, so it is nilpotent, and L(x, y) is its left
     multiplication restricted to the invariant subspace M, of trace 0.  So
-    a nondegenerate τ proves Rad M = 0, and σ_min > bound proves τ
-    nondegenerate: ``bound`` covers |σ_min(τ) - σ_min| for the exact τ of
-    the data.
+    a nondegenerate τ proves Rad M = 0, and σ_min > bound is taken as proof.
 
     τ is the d×d matrix τ[a, b] = tr L(b_a, b_b): ``_structure_trace_form``
     on structure input, ``_block_trace_form`` per block on block input (τ
-    vanishes between blocks).  The computed τ̂ is within e of τ (2-norm),
-    and its computed singular values are exact for τ̂ + F,
-    ‖F‖₂ <= ``_SVD_BACKWARD`` d² u ‖τ̂‖_F, so by Weyl's inequality every
-    computed singular value is within e + ‖F‖₂ of τ's; that sum, raised by
-    1 + ``_gamma(d * d)`` for its own rounding, is ``bound``.  (n₊, n₋)
-    counts the eigenvalues of τ̂'s Hermitian part above ``bound`` and below
-    -``bound``: the inertia of τ where τ is Hermitian and σ_min > bound, as
-    on every C*-ternary ring, where τ is definite with each Zettl part's sign.
-    A 0-dimensional space gets σ_min = inf.
+    vanishes between blocks).  The computed τ̂ is within e of the exact τ of
+    the data (2-norm), and its computed singular values are taken to be
+    exact for τ̂ + F, ‖F‖₂ <= ``_SVD_BACKWARD`` d² u ‖τ̂‖_F, so by Weyl's
+    inequality every computed singular value is within e + ‖F‖₂ of τ's,
+    raised by 1 + ``_gamma(d * d)`` for its own rounding.  That rounding
+    term alone would prove Rad M = 0 only for data that is exactly a ring,
+    and the input gate passes data whose associativity identities miss by
+    up to ``ternary.DEFAULT_TOL``: c[0,0,0,0] = 1 with c[1,1,0,0] = 1e-12
+    passes it, lies 1e-12 from a ring whose radical is span{b_1}, and has
+    τ = diag(1, 1e-12).  So ``bound`` is the larger of the rounding term
+    and DEFAULT_TOL σ_max, the relative cut at which the ambient path
+    (``mk.nullspace`` of its own trace form) reads ranks; below it the
+    ambient path decides.  A 0-dimensional space gets σ_min = inf.
     """
     d = m.dim
     if d == 0:
-        return np.inf, 0.0, (0, 0)
+        return np.inf, 0.0
     if m.is_block:
         tau = np.zeros((d, d), dtype=np.complex128)
         err = 0.0
@@ -459,11 +462,9 @@ def _trace_form_certificate(m: TernarySpace) -> tuple:
             err = max(err, e)
     else:
         tau, err = _structure_trace_form(m.structure.c)
-    sigma = float(np.linalg.svd(tau, compute_uv=False)[-1])
+    s = np.linalg.svd(tau, compute_uv=False)
     back = _SVD_BACKWARD * d * d * _UNIT * float(np.linalg.norm(tau))
-    bound = (err + back) * (1 + _gamma(d * d))
-    lam = np.linalg.eigvalsh((tau + tau.conj().T) / 2)
-    return sigma, bound, (int(np.sum(lam > bound)), int(np.sum(lam < -bound)))
+    return float(s[-1]), max((err + back) * (1 + _gamma(d * d)), DEFAULT_TOL * float(s[0]))
 
 
 def _radical(m: TernarySpace) -> tuple:
@@ -485,7 +486,7 @@ def _radical(m: TernarySpace) -> tuple:
     "ambient") and the certificate's ``sigma_min``, ``bound`` and ``margin``
     (σ_min - bound), each None where it is not finite.
     """
-    sigma, bound, _ = _trace_form_certificate(_unit_space(m))
+    sigma, bound = _trace_form_certificate(_unit_space(m))
     report = {"decided_by": "trace_form"}
     for key, v in (("sigma_min", sigma), ("bound", bound), ("margin", sigma - bound)):
         report[key] = float(v) if np.isfinite(v) else None

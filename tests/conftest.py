@@ -118,7 +118,7 @@ def scramble(m, rng, max_cond=20.0):
 def no_certificate(monkeypatch):
     """Takes the trace-form certificate out: ``radical._radical`` then
     decides every radical on the ambient algebra."""
-    monkeypatch.setattr(rad, "_trace_form_certificate", lambda m: (0.0, np.inf, (0, 0)))
+    monkeypatch.setattr(rad, "_trace_form_certificate", lambda m: (0.0, np.inf))
 
 
 def cstar_identity_residual(e, samples=200, seed=0):

@@ -88,14 +88,15 @@ def test_decompose_pure_anti(tmp_path):
 
 
 def test_radical_report(mixed_file):
-    # the trace form of full(2, 2, +1) ⊕ C(-1) is diag(2, 2, 2, 2, -1)
+    # the trace form of full(2, 2, +1) ⊕ C(-1) is diag(2, 2, 2, 2, -1): its
+    # bound is the relative cut 1e-9 σ_max, above the rounding term
     code, rep = _run_json(["radical", mixed_file])
     assert code == 0
     d = rep["details"]
     assert d == {"radical_dim": 0, "semisimple": True, "embedding_radical_dim": 0,
                  "decided_by": "trace_form", "sigma_min": 1.0,
                  "bound": d["bound"], "margin": 1.0 - d["bound"]}
-    assert 0 < d["bound"] < 1e-10
+    assert d["bound"] == pytest.approx(2e-9, rel=1e-12)
 
 
 def test_radical_builds_the_embedding_algebra_once(mixed_file, monkeypatch):
@@ -332,7 +333,7 @@ def test_radical_reports_nonzero_radical(tmp_path):
     d = rep["details"]
     assert d == {"radical_dim": 1, "semisimple": False, "decided_by": "ambient",
                  "sigma_min": 0.0, "bound": d["bound"], "margin": -d["bound"]}
-    assert 0 < d["bound"] < 1e-13
+    assert d["bound"] == pytest.approx(1e-9, rel=1e-12)
 
 
 def test_radical_and_quotient_ignore_seed(tmp_path, mixed_file):

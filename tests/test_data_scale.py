@@ -4,10 +4,11 @@ of the data.
 ``ternary._ideal_products`` divides the basis products by the data scale
 (|c|max on structure input, the square of the largest block entry on block
 input), ``zettl_decompose`` judges the trace operator's spectrum relative to
-its norm, and ``radical._ambient`` builds its algebra from the data brought to
-unit scale.  Multiplying the blocks or c by any t then leaves the generated
-ideals, the ``is_ideal`` verdicts, the Zettl dimensions and the (zero)
-radical as they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
+its norm, and the radical's trace-form certificate and ``radical._ambient``'s
+algebra both read the data brought to unit scale (``radical._unit_space``).
+Multiplying the blocks or c by any t then leaves the generated ideals, the
+``is_ideal`` verdicts, the Zettl dimensions and the (zero) radical, on either
+path, as they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
 """
 
 import io
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lattice_spaces, scaled, scramble
+from conftest import lattice_spaces, no_certificate, scaled, scramble
 from ternlab import cli
 from ternlab import embedding as emb
 from ternlab import ideals as idl
@@ -61,12 +62,18 @@ def test_ideals_zettl_and_radical_do_not_depend_on_the_data_scale(cases, tmp_pat
     assert ideal.dim == dim
     assert (idl.is_ideal(ms, ideal.basis), idl.is_ideal(ms, gen[:, None])) == verdicts
     assert _zettl_dims(ms) == zettl
-    # every case is a C*-ternary ring, so semisimple
+    # every case is a C*-ternary ring, so semisimple, on the certificate and
+    # with it taken out, on the ambient algebra
     path = tmp_path_factory.mktemp("scaled") / "m.json"
     path.write_text(json.dumps(cli.to_instance_dict(ms, "scaled")))
-    out = io.StringIO()
-    assert cli.main(["radical", str(path), "--format", "json"], out=out) == cli.EXIT_OK
-    assert json.loads(out.getvalue())["details"]["radical_dim"] == 0
+    for path_taken in ("trace_form", "ambient"):
+        with pytest.MonkeyPatch.context() as mp:
+            if path_taken == "ambient":
+                no_certificate(mp)
+            out = io.StringIO()
+            assert cli.main(["radical", str(path), "--format", "json"], out=out) == cli.EXIT_OK
+        details = json.loads(out.getvalue())["details"]
+        assert (details["radical_dim"], details["decided_by"]) == (0, path_taken)
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-3, 1e5])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import scramble
+from conftest import no_certificate, scramble
 from ternlab import embedding as emb
 from ternlab import matkernel as mk
 from ternlab import radical as rad
@@ -188,7 +188,11 @@ def test_radicals_solve_no_quasi_inverses(monkeypatch, catalog):
     assert rad.jacobson_radical(_upper_triangular(4)[0]).shape[1] == 6
     for m, want in _nonzero_ternary_radicals():
         assert rad.ternary_radical(m).shape[1] == want.shape[1]
-    assert rad.ternary_radical(dict(catalog)["mix-full-scalar"]).shape[1] == 0
+    # on the trace-form certificate, and with it taken out on the embedding
+    mix = dict(catalog)["mix-full-scalar"]
+    assert rad.ternary_radical(mix).shape[1] == 0
+    no_certificate(monkeypatch)
+    assert rad.ternary_radical(mix).shape[1] == 0
 
 
 def test_radical_of_embeddings_vanishes(catalog):
@@ -203,11 +207,14 @@ def test_ternary_radical_examples(catalog):
         assert rad.ternary_radical(m).shape[1] == 0
 
 
-def test_ternary_radical_structure_route():
+def test_ternary_radical_structure_route(monkeypatch):
+    # the envelope route, with the trace-form certificate taken out
+    no_certificate(monkeypatch)
     for m in (tern.scalar_space(+1), tern.scalar_space(-1),
               tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1)),
               tern.diagonal_space(2, +1)):
         ms = tern.as_structure_space(m)
+        assert rad._radical(ms)[2]["decided_by"] == "ambient"
         assert rad.ternary_radical(ms).shape[1] == 0
 
 
@@ -425,12 +432,15 @@ def test_matrix_algebra_matches_loop():
         assert np.array_equal(alg.star, star)
 
 
-def test_structure_envelope_fails_on_overflow():
+def test_structure_envelope_fails_on_overflow(monkeypatch):
     # c = 1e200: the 2-norms of the span check overflow, which must not pass it;
-    # the radical builds its envelope from c brought to unit scale, so it reads 0
+    # the radical reads c brought to unit scale, so it reads 0 on the trace-form
+    # certificate, and with it taken out on the envelope built from that c
     m = tern.TernarySpace.from_structure(np.full((1, 1, 1, 1), 1e200), validate=False)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DecompositionInconclusive):
         rad.structure_envelope(m)
+    assert rad.ternary_radical(m).shape == (1, 0)
+    no_certificate(monkeypatch)
     assert rad.ternary_radical(m).shape == (1, 0)
 
 
