@@ -200,11 +200,14 @@ def span_residual(groups, q: np.ndarray) -> float:
 SPARSE_TERM_COST = 256
 
 #: Smallest dimension at which a dense structure tensor's validation tries the
-#: O(r d^5) associativity certificate before the exact O(d^7) sweep.  Below it
-#: the sweep is the cheaper check: 0.04-0.86 ms against 0.22-1.23 ms for the
-#: certificate on the scrambled tensors of d = 1 to 6; at d = 7 they are level
-#: (1.7-3.5 ms against 1.9-2.1 ms) and at d = 8 the certificate wins, 3.3-3.5
-#: ms against 4.7-4.8 ms (2-core x86 VM, numpy 2.4 with OpenBLAS, one thread).
+#: associativity certificate before the exact O(d^7) sweep.  Below it the sweep
+#: is the cheaper check: 0.02-0.81 ms against 0.25-0.96 ms for the certificate
+#: on the scrambled tensors of d = 1 to 6, level at d = 6.  At d = 7 the
+#: certificate takes 0.9 ms on a scrambled diag(7) against 1.9 ms for the
+#: sweep, 2.1 ms against 1.9 ms on full(7, 1), and 3.9 ms against 2.0 ms on
+#: full(1, 7), whose right-operator span has full rank 49; from d = 8 it wins,
+#: 1.3-1.8 ms against 4.2 ms, and 14 ms against 19 ms on full(1, 10) (2-core
+#: x86 VM, numpy 2.4 with OpenBLAS, one thread).
 CERTIFICATE_MIN_DIM = 7
 
 

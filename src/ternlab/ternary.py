@@ -67,7 +67,7 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _span_basis(rows: np.ndarray) -> tuple:
-    """(Q, max_k |a_k.|, max_k |e_k|, max_k |rows[k]|) with rows = a Q + e.
+    """(Q, a, |e_k| for each k, max_k |rows[k]|) with rows = a Q + e.
 
     Q is an orthonormal basis of the span of the n rows by Gram-Schmidt,
     pivoted on the row with the largest remainder: each basis row is that
@@ -103,8 +103,7 @@ def _span_basis(rows: np.ndarray) -> tuple:
             left = _sq_norms(e)
             p = int(left.argmax())
             if left[p] <= floor or r == len(q):
-                return (q[:r], np.abs(a[:, :r]).max(axis=0, initial=0.0),
-                        float(np.sqrt(left[p])), float(np.sqrt(top)))
+                return q[:r].copy(), a[:, :r].copy(), np.sqrt(left), float(np.sqrt(top))
             v = e[p]
         v -= (q[:r] @ v.conj()).conj() @ q[:r]
         q[r] = v / np.sqrt(np.vdot(v, v).real)
@@ -113,28 +112,124 @@ def _span_basis(rows: np.ndarray) -> tuple:
         r += 1
 
 
-def _span_bound(basis: tuple, apply, norm: float, d: int, stop: float) -> float:
+def _span_bound(basis: tuple, norm: float, d: int, stop: float, images, extra: float) -> float:
     """Upper bound on max_k max |Phi(rows[k])| for a linear map Phi, from
     ``basis = _span_basis(rows)``.
 
-    ``apply(q)`` returns the computed max |Phi(q)| of one row, and
-    ``norm * |x|`` bounds every entry of Phi(x), so
-        |Phi(rows[k])| <= sum_a max_k |a_ka| |Phi(Q_a)| + max_k |e_k| norm.
-    Phi runs on one basis row at a time.  With g = (d + r + 4) u (u the unit
-    roundoff, r the rank), the rounding term
+    ``images`` yields, row by row of Q, a bound on max |Phi'(Q_a)|, or its
+    computed value, for a linear map Phi' whose difference from Phi
+    ``extra`` bounds on every a_k Q, and ``norm * |x|`` bounds every entry of
+    Phi(x), so
+        |Phi(rows[k])| <= sum_a max_k |a_ka| |Phi'(Q_a)| + extra + max_k |e_k| norm.
+    With g = (d + r + 4) u (u the unit roundoff, r the rank), the rounding
+    term
         g norm (max_k |rows[k]| + 2 sum_a max_k |a_ka| + norm)
-    covers Phi's d-term sums on each Q_a, the forming of e, the rounding of
-    the scaled tensor and that of the exact sweep, and the total is scaled by
-    1 + g for its own sums.  inf as soon as the partial bound passes ``stop``.
+    covers d-term sums in each image, the forming of e, the rounding of the
+    scaled tensor and that of the exact sweep, and the total is scaled by
+    1 + g for its own sums.  inf as soon as the partial bound passes
+    ``stop``; the images past that row are never drawn.
     """
-    q, amax, rest, rho = basis
+    q, a, e, rho = basis
+    amax = np.abs(a).max(axis=0, initial=0.0)
     gamma = (d + len(q) + 4) * _UNIT
-    total = rest * norm + gamma * norm * (rho + 2 * amax.sum() + norm)
-    for am, qa in zip(amax, q):
+    total = e.max(initial=0.0) * norm + extra + gamma * norm * (rho + 2 * amax.sum() + norm)
+    images = iter(images)
+    for am in amax:
         if total > stop:
             return np.inf
-        total += am * apply(qa)
+        total += am * next(images)
     return float(total * (1 + gamma)) if total <= stop else np.inf
+
+
+def _commutator_bounds(left: tuple, right: tuple, d: int, width: float) -> tuple:
+    """(images, extra) for ``_span_bound`` over ``left = _span_basis(L rows)``
+    of Phi(X)_uv = [X, R_uv], with R_uv = sum_b beta_uv,b P_b + f_uv from
+    ``right = _span_basis(R rows)`` and every row a d-by-d matrix.
+
+    The images bound Phi'(Q_a)_uv = [Q_a, R_uv - f_uv]:
+        |Phi'(Q_a)| <= sum_b max_uv |beta_uv,b| max |[Q_a, P_b]|,
+    plus the rounding of each commutator's d-term sums, at most
+    h (q_a p'_b + p_b q'_a) with q_a, q'_a the largest row and column norms of
+    Q_a, p_b, p'_b those of P_b (at most 1) and h = (d + r_R + 4) u, each
+    image scaled by 1 + h for its own sums.  The r_L r_R commutators are
+    formed by two matmuls per block of rows of Q, each block's products
+    within d^4 entries.  Phi - Phi' at L_xy - e_xy is [L_xy - e_xy, f_uv], an
+    entry of which is at most (width + 2 |e_xy|) |f_uv| (Cauchy-Schwarz) when
+    ``width`` bounds the largest row norm plus the largest column norm of
+    every L_xy; e and f as formed are within h sum_a max_xy |alpha_xy,a| and
+    h sum_b max_uv |beta_uv,b| of the exact ones in norm.
+    """
+    q, alpha, e_rows, _ = left
+    p, beta, f_rows, _ = right
+    r = len(p)
+    bmax = np.abs(beta).max(axis=0, initial=0.0)
+    h = (d + r + 4) * _UNIT
+    e = e_rows.max(initial=0.0) + (d + len(q) + 4) * _UNIT * np.abs(alpha).max(axis=0, initial=0.0).sum()
+    f = f_rows.max(initial=0.0) + h * bmax.sum()
+    extra = (width + 2 * e) * f
+    pmats = p.reshape(r, d, d)
+    pcols = pmats.transpose(1, 0, 2).reshape(d, r * d)   # [m, (b, l)]
+    step = max(1, d * d // max(r, 1))
+
+    def images():
+        for s in range(0, len(q), step):
+            qs = q[s:s + step].reshape(-1, d, d)
+            n = len(qs)
+            comm = (qs.reshape(n * d, d) @ pcols).reshape(n, d, r, d)     # Q_a P_b [a, z, b, l]
+            qp = pmats.reshape(r * d, d) @ qs.transpose(1, 0, 2).reshape(d, n * d)
+            comm -= qp.reshape(r, d, n, d).transpose(2, 1, 0, 3)          # P_b Q_a
+            sq = qs.real ** 2 + qs.imag ** 2
+            norms = np.sqrt(sq.sum(axis=2).max(axis=1)) + np.sqrt(sq.sum(axis=1).max(axis=1))
+            yield from (np.abs(comm).max(axis=(1, 3)) @ bmax + h * bmax.sum() * norms) * (1 + h)
+
+    return images(), extra
+
+
+def _pair_bounds(pairs: tuple, left: tuple, d: int, width: float) -> tuple:
+    """(images, extra) for ``_span_bound`` over ``pairs = _span_basis(pair
+    rows)`` of Psi(A, B)[x, u] = sum_m A[m,x] L_mu - sum_m B[m,u] L_xm, with
+    each pair row (A^T, B^T) as two d-by-d matrices and the left operators
+    L_xy = sum_a alpha_xy,a Q_a + e_xy from ``left = _span_basis(L rows)``.
+
+    The images bound Psi', Psi with L_xy - e_xy for L_xy:
+    Psi'(A, B)[x, u] = sum_a K[x,u,a] Q_a with
+    K[x,u,a] = sum_m A[m,x] alpha[m,u,a] - sum_m B[m,u] alpha[x,m,a], so
+        |Psi'(A, B)| <= max_xu sum_a |K[x,u,a]| max |Q_a|,
+    plus the rounding of K's d-term sums, at most (s_A + s_B) h
+    sum_a max_xy |alpha_xy,a| max |Q_a| with s_A = max_x sum_m |A[m,x]|, s_B
+    likewise and h = (d + r_L + 4) u, each image scaled by 1 + h for its own
+    sums.  K is formed by two matmuls per block of pair rows, each block's
+    coefficients within d^4 entries.  Psi - Psi' at (A, B) is
+    sum_m A[m,x] e_mu - B[m,u] e_xm, an entry of which is at most
+    |A[:,x]| (sum_m |e_mu|^2)^(1/2) + |B[:,u]| (sum_m |e_xm|^2)^(1/2)
+    (Cauchy-Schwarz); ``width`` bounds the column norms of the A and B of
+    every pair row, the pair remainder adds its own norm, and each entry of e
+    as formed is within the rounding bound above of the exact one.
+    """
+    pair_q, _, g_rows, _ = pairs
+    q, alpha, e_rows, _ = left
+    r = len(q)
+    qmax = np.abs(q).max(axis=1, initial=0.0)
+    h = (d + r + 4) * _UNIT
+    slip = h * (np.abs(alpha).max(axis=0, initial=0.0) @ qmax)
+    sq = (e_rows * e_rows).reshape(d, d)      # rows (x, y)
+    cols = np.sqrt(sq.sum(axis=0).max()) + np.sqrt(sq.sum(axis=1).max()) + 2 * np.sqrt(d) * slip
+    extra = (width + g_rows.max(initial=0.0)) * cols
+    first = alpha.reshape(d, d * r)                                      # [m, (u, a)]
+    second = alpha.reshape(d, d, r).transpose(1, 0, 2).reshape(d, d * r)  # [m, (x, a)]
+    step = max(1, d * d // max(r, 1))
+
+    def images():
+        for s in range(0, len(pair_q), step):
+            ab = pair_q[s:s + step].reshape(-1, 2, d, d)   # A^T[x, m], B^T[u, m]
+            n = len(ab)
+            k = (ab[:, 0].reshape(n * d, d) @ first).reshape(n, d, d, r)
+            kb = ab[:, 1].reshape(n * d, d) @ second
+            k -= kb.reshape(n, d, d, r).transpose(0, 2, 1, 3)
+            sums = np.abs(ab).sum(axis=3).max(axis=2).sum(axis=1)
+            yield from ((np.abs(k) @ qmax).max(axis=(1, 2)) + sums * slip) * (1 + h)
+
+    return images(), extra
 
 
 @dataclass(frozen=True)
@@ -295,69 +390,66 @@ class StructureConstants:
         return worst
 
     def associativity_bound(self, stop: float = np.inf) -> float:
-        """Upper bound on ``associativity_residual()`` in O(r d^5), not O(d^7).
+        """Upper bound on ``associativity_residual()`` in O((r_L r_R + r_P r_L) d^3)
+        once the operator spans are formed, not O(d^7).
 
-        On t = c / |c|max the two identities are linear maps of the
-        operators: for fixed (x, y), [[xyz]uv] - [xy[zuv]] is
-        Phi(X) = X t[m,u,v,l] - t[z,u,v,m] X at X = t[x,y], and for fixed (y, z),
-        [[xyz]uv] - [x[uzy]v] is Psi(A, B) = A t[m,u,v,l] - B t[x,m,v,l] at the
-        pair A = t[:,y,z,:], B = conj(t[:,z,y,:]).  The operators span the two
-        corners of the linking algebra, of dimension sum p^2 and sum q^2 over
-        p-by-q blocks on a C*-ternary ring (16 each for scrambled
-        ``full-4x4-tro``, against d^2 = 256), so each map runs once per basis
-        row of its span (see ``_span_bound``).  inf as soon as the bound
-        passes ``stop``.
+        On t = c / |c|max the two identities are statements about operators.
+        [[xyz]uv] - [xy[zuv]] is the commutator [L_xy, R_uv] of the left
+        operator L_xy[z, m] = t[x,y,z,m] with the right operator
+        R_uv[m, l] = t[m,u,v,l]: the left operators commute with the right
+        ones.  [[xyz]uv] - [x[uzy]v], read over (v, l), is
+        Psi(A, B)[x, u] = sum_m A[m,x] L_mu - B[m,u] L_xm at the pair
+        A = t[:,y,z,:], B = conj(t[:,z,y,:]): the right operators compose
+        inside the span of the left ones.  The left operators, the right
+        operators and the pairs span the corners of the linking algebra, of
+        dimension sum p^2 or sum q^2 over p-by-q blocks on a C*-ternary ring
+        (16 each for scrambled ``full-4x4-tro``, against d^2 = 256).  The first
+        identity is bounded over the basis of the left span from the
+        commutators of the two span bases (``_commutator_bounds``), the
+        second over the basis of the pair span from the coefficients of Psi in
+        the left span (``_pair_bounds``); the outer sums are ``_span_bound``'s.
+        inf as soon as the bound passes ``stop``.
         """
+        return self._certificate(stop)[0]
+
+    def _certificate(self, stop: float) -> tuple:
+        """(``associativity_bound(stop)``, the ranks of the spans formed:
+        left, right and, unless the first identity passed ``stop``, pairs)."""
         c, d = self.c, self.dim
         if d == 0:
-            return 0.0
+            return 0.0, (0, 0, 0)
         t = c / mk.unit_scale(c)
         sq = t.real ** 2 + t.imag ** 2
-        # column-norm maxima of t along axes 0, 1 and 3
-        n0, n1, n3 = (float(np.sqrt(sq.sum(axis=ax)).max()) for ax in (0, 1, 3))
+        # column-norm maxima of t along each axis
+        n0, n1, n2, n3 = (float(np.sqrt(sq.sum(axis=ax)).max()) for ax in range(4))
         del sq
-        # the left operators t[x,y], and the pairs (R(y,z), conj R(z,y)) of
-        # the right operators R(y,z)[m, x] = t[x,y,z,m]; each row matrix is
-        # dropped once its basis is formed
-        spans = (_span_basis(t.reshape(d * d, d * d)),
-                 _span_basis(operator_pairs(t.transpose(1, 2, 3, 0)).reshape(d * d, -1)))
-        left, right = t.reshape(d, d ** 3), t.reshape(d ** 3, d)
-        # both sides of one basis row's identity, in the same d^4 buffers every row
-        lhs, rhs = np.empty((2, d, d ** 3), dtype=np.complex128)
-        mag = np.empty((d, d ** 3))
-
-        def gap():
-            np.subtract(lhs, rhs, out=lhs)
-            return float(np.abs(lhs, out=mag).max())
-
-        def phi(q):
-            x = q.reshape(d, d)
-            np.matmul(x, left, out=lhs)
-            np.matmul(right, x, out=rhs.reshape(d ** 3, d))
-            return gap()
-
-        def psi(q):
-            a, b = q.reshape(2, d, d)   # transposed: a[m, x], b[m, u]
-            np.matmul(a.T, left, out=lhs)
-            np.matmul(b.T, t.reshape(d, d, d * d), out=rhs.reshape(d, d, d * d))
-            return gap()
-
-        worst = _span_bound(spans[0], phi, n0 + n3, d, stop)
+        # the left operators L_xy, rows (x, y), and the right ones R_uv, rows (u, v)
+        rows = t.transpose(1, 2, 0, 3).reshape(d * d, d * d)
+        left, right = _span_basis(t.reshape(d * d, d * d)), _span_basis(rows)
+        # the images' generator, and the temporaries its frame holds, end with
+        # each _span_bound call
+        worst = _span_bound(left, n0 + n3, d, stop, *_commutator_bounds(left, right, d, n2 + n3))
+        ranks = (len(left[0]), len(right[0]))
         if worst > stop:
-            return np.inf
-        return max(worst, _span_bound(spans[1], psi, n0 + n1, d, stop))
+            return np.inf, ranks
+        # the pairs (A^T, B^T) = (R_yz, conj R_zy), rows (y, z), freed before Psi's chunks
+        rows = operator_pairs(rows.reshape(d, d, d, d)).reshape(d * d, -1)
+        pairs = _span_basis(rows)
+        del rows
+        worst = max(worst, _span_bound(pairs, n0 + n1, d, stop, *_pair_bounds(pairs, left, d, n3)))
+        return worst, ranks + (len(pairs[0]),)
 
     def _assoc_verdict(self, tol: float) -> tuple:
-        """("assoc_bound", bound) when a dense tensor of at least
-        ``mk.CERTIFICATE_MIN_DIM`` dimensions passes on ``associativity_bound``
-        within tol, else ("assoc_basis", the exact residual): only a passing
+        """("assoc_bound", bound, span ranks) when a dense tensor of at least
+        ``mk.CERTIFICATE_MIN_DIM`` dimensions passes on the certificate within
+        tol, else ("assoc_basis", the exact residual, ()): only a passing
         verdict skips the sweep, so a failure always reports the exact
         residual."""
         if self.dim >= mk.CERTIFICATE_MIN_DIM and not mk.sparse_pays(self.c, *_ASSOC_SWEEP):
-            bound = self.associativity_bound(stop=tol)
+            bound, ranks = self._certificate(tol)
             if bound <= tol:
-                return "assoc_bound", bound
-        return "assoc_basis", self.associativity_residual()
+                return "assoc_bound", bound, ranks
+        return "assoc_basis", self.associativity_residual(), ()
 
     def validate(self):
         """InvalidInput unless both associativity identities hold on the basis
@@ -683,6 +775,8 @@ class AxiomReport:
 
     residuals: dict
     tol: float
+    # (r_L, r_R, r_P), the ranks of the operator spans, when assoc_bound decides
+    ranks: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -695,11 +789,14 @@ class AxiomReport:
         return name, self.residuals[name]
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "tol": self.tol,
             "passed": self.passed,
         }
+        if self.ranks:
+            out["assoc_ranks"] = list(self.ranks)
+        return out
 
 
 def check_axioms(m: TernarySpace, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -720,8 +817,8 @@ def check_axioms(m: TernarySpace, tol: float = DEFAULT_TOL) -> AxiomReport:
         return AxiomReport({}, tol)
     if m.is_block:
         return AxiomReport({"closure": max(b.closure_residual() for b in m.blocks)}, tol)
-    name, resid = m.structure._assoc_verdict(tol)
-    return AxiomReport({name: resid}, tol)
+    name, resid, ranks = m.structure._assoc_verdict(tol)
+    return AxiomReport({name: resid}, tol, ranks)
 
 
 # ---------------------------------------------------------------------------

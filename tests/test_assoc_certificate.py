@@ -133,9 +133,135 @@ def test_span_bound_covers_the_rounding_of_each_image(v, w):
     # one basis row, and the remainder e is 0, so only the rounding term covers it
     k = 1 + 2.0 ** -52
     basis = tern._span_basis(np.array([[v, w]], dtype=np.complex128))
-    bound = tern._span_bound(basis, lambda q: float(abs(w * q[0] - v * k * q[1])),
-                             w + 2 * v, 2, np.inf)
+    images = (float(abs(w * q[0] - v * k * q[1])) for q in basis[0])
+    bound = tern._span_bound(basis, w + 2 * v, 2, np.inf, images, 0.0)
     assert Fraction(bound) >= Fraction(v) * Fraction(w) * (Fraction(k) - 1)
+
+
+def _exact(z):
+    """The real and imaginary parts of a complex array, as arrays of Fractions."""
+    z = np.asarray(z, dtype=np.complex128)
+    to = np.vectorize(Fraction, otypes=[object])
+    return to(z.real), to(z.imag)
+
+
+def _mul(a, b):
+    return a[0] @ b[0] - a[1] @ b[1], a[0] @ b[1] + a[1] @ b[0]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _covers_exactly(bound, image):
+    """bound >= the largest modulus in an exact (real, imaginary) pair, in
+    rational arithmetic."""
+    return Fraction(bound) ** 2 >= max(x * x + y * y for x, y in zip(*(a.ravel() for a in image)))
+
+
+@pytest.fixture(scope="module")
+def small_tensors(scrambles):
+    """Scrambles of d <= 3, as they are and with one entry moved by 1e-9 of
+    |c|max, below the span stop, so that the spans leave a remainder; and two
+    arbitrary tensors."""
+    rng = np.random.default_rng(1207)
+    out = []
+    for name, sc in scrambles.items():
+        if sc.dim <= 3:
+            out += [sc.c, _corrupt(sc, rng, 1e-9).c]
+    for d in (2, 3):
+        out.append(rng.standard_normal((d,) * 4) + 1j * rng.standard_normal((d,) * 4))
+    return [c / mk.unit_scale(c) for c in out]
+
+
+def _spans(t):
+    """The left, right and pair span bases ``associativity_bound`` forms on t,
+    with the column-norm maxima of t along each axis."""
+    d = len(t)
+    rows = t.transpose(1, 2, 0, 3).reshape(d * d, d * d)
+    pairs = tern.operator_pairs(rows.reshape(d, d, d, d)).reshape(d * d, -1)
+    norms = [float(np.sqrt((np.abs(t) ** 2).sum(axis=ax)).max()) for ax in range(4)]
+    return [tern._span_basis(x) for x in (t.reshape(d * d, d * d), rows, pairs)], norms
+
+
+def _span_part(basis):
+    """The exact rows a Q of a span basis (without the remainder e)."""
+    q, a = basis[:2]
+    return _mul(_exact(a), _exact(q))
+
+
+def test_commutator_bounds_cover_the_exact_commutators(small_tensors):
+    # the image of each left basis row Q_a against the span part B_uv of every
+    # right operator, and extra against [A_xy, R_uv - B_uv] for the span part
+    # A_xy of every left operator, exactly
+    for t in small_tensors:
+        d = len(t)
+        (left, right, _), n = _spans(t)
+        images, extra = tern._commutator_bounds(left, right, d, n[2] + n[3])
+        images = list(images)
+        assert len(images) == len(left[0])
+        spanned = _span_part(right)
+        rest = _sub(_exact(t.transpose(1, 2, 0, 3).reshape(d * d, d * d)), spanned)
+        mats = [[(x[0][k].reshape(d, d), x[1][k].reshape(d, d)) for k in range(d * d)]
+                for x in (spanned, rest)]
+        for qa, bound in zip(left[0], images):
+            qa = _exact(qa.reshape(d, d))
+            for op in mats[0]:
+                assert _covers_exactly(bound, _sub(_mul(qa, op), _mul(op, qa))), d
+        lefts = _span_part(left)
+        for k in range(d * d):
+            op = (lefts[0][k].reshape(d, d), lefts[1][k].reshape(d, d))
+            for f in mats[1]:
+                assert _covers_exactly(extra, _sub(_mul(op, f), _mul(f, op))), d
+
+
+def _psi(pair, ten):
+    """Psi(A, B)[x, u] = sum_m A[m,x] ten[m,u] - B[m,u] ten[x,m] at the pair
+    row (A^T, B^T), exactly, as one (real, imaginary) pair over (x, u, v, l)."""
+    d = len(ten[0])
+    at, bt = (tuple(x[k * d * d:(k + 1) * d * d].reshape(d, d) for x in pair) for k in (0, 1))
+    first = _mul(at, tuple(x.reshape(d, d ** 3) for x in ten))
+    second = [_mul(bt, tuple(x[i].reshape(d, d * d) for x in ten)) for i in range(d)]
+    return tuple(first[j].reshape(-1) - np.concatenate([s[j].reshape(-1) for s in second])
+                 for j in (0, 1))
+
+
+def test_pair_bounds_cover_the_exact_images(small_tensors):
+    # the image of each pair basis row with the span part of the left
+    # operators, and extra against Psi with their remainders at the span part
+    # of every pair row, exactly
+    for t in small_tensors:
+        d = len(t)
+        (left, _, pairs), n = _spans(t)
+        images, extra = tern._pair_bounds(pairs, left, d, n[3])
+        images = list(images)
+        assert len(images) == len(pairs[0])
+        spanned = _span_part(left)
+        ops = [x.reshape((d,) * 4) for x in spanned]
+        rest = [x.reshape((d,) * 4) for x in _sub(_exact(t.reshape(d * d, d * d)), spanned)]
+        for row, bound in zip(pairs[0], images):
+            assert _covers_exactly(bound, _psi(_exact(row), ops)), d
+        rows = _span_part(pairs)
+        for k in range(d * d):
+            assert _covers_exactly(extra, _psi((rows[0][k], rows[1][k]), rest)), d
+
+
+def test_inner_bounds_cover_the_rounding_of_each_image():
+    # the exact image 0.625 (k - 1/2) = 1.25 * 2^-54 of one basis row, with
+    # k = 1/2 + 2^-53, rounds to 2^-54 in the computed commutator and in K; the
+    # spans are exact (rest 0), so only the rounding term covers the rest
+    k = 0.5 + 2.0 ** -53
+    exact = Fraction(5, 8) * (Fraction(k) - Fraction(1, 2))
+    exact_span = (np.zeros(1), 1.0)   # remainder norms 0, largest row 1
+    left = (np.array([[0.0, 0.625, 0.0, 0.0]], dtype=np.complex128), np.ones((1, 1))) + exact_span
+    right = (np.array([[0.5, 0.0, 0.0, k]], dtype=np.complex128), np.ones((1, 1))) + exact_span
+    [bound] = tern._commutator_bounds(left, right, 2, 0.0)[0]
+    assert Fraction(bound) >= exact
+    # d = 1: Psi = (A - B) L with L = 0.625 Q, Q = 1, and the pair row (k, 1/2)
+    left = (np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 0.625 + 0j)) + exact_span
+    pairs = (np.array([[k, 0.5]], dtype=np.complex128), np.ones((1, 1))) + exact_span
+    [bound] = tern._pair_bounds(pairs, left, 1, 0.0)[0]
+    assert Fraction(bound) >= exact
 
 
 @pytest.fixture()
@@ -195,6 +321,20 @@ def test_small_or_sparse_input_reports_the_exact_sweep(catalog, scrambles):
             rep = tern.check_axioms(tern.TernarySpace.from_structure(sc.c, validate=False))
             exact = sc.dim < mk.CERTIFICATE_MIN_DIM or mk.sparse_pays(sc.c, *tern._ASSOC_SWEEP)
             assert rep.passed and set(rep.residuals) == {"assoc_basis" if exact else "assoc_bound"}, name
+
+
+def test_verify_reports_the_span_ranks(scrambles, tmp_path):
+    # the corners of the linking algebra of one 4x2 block: the left operators
+    # span 4^2 dimensions, the right operators and their pairs 2^2; a failing
+    # verdict comes from the sweep and reports no ranks
+    sc = scrambles["full-4x2-tro"]
+    for c, ranks in ((sc.c, [16, 4, 4]), (_corrupt(sc, np.random.default_rng(1208), 1e-5).c, None)):
+        path = tmp_path / "t.json"
+        m = tern.TernarySpace.from_structure(c, validate=False)
+        path.write_text(json.dumps(cli.to_instance_dict(m, "t")), encoding="utf-8")
+        out = io.StringIO()
+        cli.main(["verify", str(path), "--format", "json"], out=out)
+        assert json.loads(out.getvalue())["details"].get("assoc_ranks") == ranks
 
 
 @pytest.mark.parametrize("name", ["full-4x2-tro", "full-4x4-tro"])

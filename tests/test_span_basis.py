@@ -28,17 +28,17 @@ def _eigh_span_basis(rows):
     q = np.linalg.qr((top.conj().T @ rows).T)[0].T
     a = rows @ q.conj().T
     e = rows - a @ q
-    rest = float(np.sqrt((e.real ** 2 + e.imag ** 2).sum(axis=1).max(initial=0.0)))
-    return q, np.abs(a).max(axis=0, initial=0.0), rest, rho
+    return q, a, np.sqrt((e.real ** 2 + e.imag ** 2).sum(axis=1)), rho
 
 
 def _row_sets(c):
-    """The two row sets ``associativity_bound`` spans: the left operators and
-    the pairs of right operators of c / |c|max."""
+    """The three row sets ``associativity_bound`` spans: the left operators,
+    the right operators and their pairs (R_yz, conj R_zy) of c / |c|max."""
     d = len(c)
     t = c / mk.unit_scale(c)
-    return {"left": t.reshape(d * d, d * d),
-            "right": tern.operator_pairs(t.transpose(1, 2, 3, 0)).reshape(d * d, -1)}
+    right = t.transpose(1, 2, 0, 3).reshape(d * d, d * d)
+    return {"left": t.reshape(d * d, d * d), "right": right,
+            "pairs": tern.operator_pairs(right.reshape(d, d, d, d)).reshape(d * d, -1)}
 
 
 @pytest.fixture(scope="module")
@@ -57,21 +57,21 @@ def test_basis_matches_the_gram_eigenvectors(tensors):
     for name, sc in tensors:
         for side, rows in _row_sets(sc.c).items():
             label = f"{name} {side}"
-            q, amax, rest, rho = tern._span_basis(rows)
+            q, a, rest, rho = tern._span_basis(rows)
             ref = _eigh_span_basis(rows)
             r = len(q)
             assert r == len(ref[0]), label
             assert np.abs(q @ q.conj().T - np.eye(r)).max(initial=0.0) <= 16 * r * U, label
-            # the coefficients and the remainder describe this Q: rows = a Q + e
-            a = rows @ q.conj().T
+            # the coefficients and the remainders describe this Q: rows = a Q + e
+            assert np.array_equal(a, rows @ q.conj().T), label
             e = rows - a @ q
-            assert np.array_equal(amax, np.abs(a).max(axis=0, initial=0.0)), label
-            assert rest == pytest.approx(np.linalg.norm(e, axis=1).max(), rel=1e-12), label
+            assert rest == pytest.approx(np.linalg.norm(e, axis=1), rel=1e-12), label
             assert rho == pytest.approx(ref[3], rel=1e-15), label
             # every remainder is within the stop, and far inside it on these spans
-            assert rest <= np.sqrt(len(rows) * U) * rho * 1e-4, label
+            assert rest.max() <= np.sqrt(len(rows) * U) * rho * 1e-4, label
             # principal directions: the coefficient maxima sum as with the eigenvectors
-            assert amax.sum() == pytest.approx(ref[1].sum(), rel=1e-9), label
+            amax = [np.abs(b).max(axis=0, initial=0.0).sum() for b in (a, ref[1])]
+            assert amax[0] == pytest.approx(amax[1], rel=1e-9), label
 
 
 def test_bound_stays_within_twice_the_eigenvector_bound(tensors, monkeypatch):
@@ -109,7 +109,8 @@ def test_exact_remainders_only_confirm_the_stop(tensors, monkeypatch):
 ], ids=["zero", "one", "graded-rows", "near-parallel"])
 def test_degenerate_rows(rows):
     rows = rows.astype(np.complex128)
-    q, amax, rest, rho = tern._span_basis(rows)
+    q, a, rest, rho = tern._span_basis(rows)
+    rest = rest.max(initial=0.0)
     ref = _eigh_span_basis(rows)
-    assert len(q) == len(ref[0]) and len(amax) == len(q)
+    assert len(q) == len(ref[0]) and a.shape == (len(rows), len(q))
     assert rest <= np.sqrt(len(rows) * U) * rho and rho == ref[3]

@@ -330,13 +330,13 @@ def test_structure_validation_is_scale_invariant(factor):
 def test_certificate_runs_from_its_minimum_dimension(monkeypatch):
     # below CERTIFICATE_MIN_DIM the exact sweep alone validates a dense tensor
     calls = []
-    bound = tern.StructureConstants.associativity_bound
+    certificate = tern.StructureConstants._certificate
 
-    def counted(self, stop=np.inf):
+    def counted(self, stop):
         calls.append(self.dim)
-        return bound(self, stop)
+        return certificate(self, stop)
 
-    monkeypatch.setattr(tern.StructureConstants, "associativity_bound", counted)
+    monkeypatch.setattr(tern.StructureConstants, "_certificate", counted)
     rng = np.random.default_rng(15)
     for d in (mk.CERTIFICATE_MIN_DIM - 1, mk.CERTIFICATE_MIN_DIM):
         scramble(tern.diagonal_space(d, +1), rng)   # validates the scrambled tensor
