@@ -6,6 +6,10 @@ Instance files are JSON with complex scalars encoded as [re, im] pairs:
                                 "basis": [[[[1,0],[0,0]], ...], ...]}]}
 or
     {"name": "...", "structure_constants": {"dim": 2, "c": [...]}}
+or, packed, the d^4 tensor as base64 of little-endian complex128 in C order
+(written for tensors of more than PACK_ABOVE_ENTRIES entries):
+
+    {"name": "...", "structure_constants": {"dim": 5, "c_base64": "AAAA..."}}
 
 Exit codes: 0 on pass/success, 1 on a property failure, 2 on input
 errors.  ``--format json`` emits one machine-readable report object on
@@ -15,6 +19,7 @@ stdout; the schema is documented in the README.
 from __future__ import annotations
 
 import argparse
+import base64
 import functools
 import json
 import math
@@ -38,6 +43,10 @@ from .errors import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+
+# structure tensors of more entries (d >= 5) are written as "c_base64"; the
+# smaller ones keep the [re, im] lists that people write and edit by hand
+PACK_ABOVE_ENTRIES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +75,8 @@ def _decode_array(data, depth: int, bools: bool) -> np.ndarray:
         raise ValueError("expected numbers in [re, im] pairs")
     if arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise ValueError(f"expected nesting depth {depth} of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a view keeps every bit, where re + 1j * im turns -0.0 + 0j into 0.0
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _holds(text: str, word: str, key: str) -> bool:
@@ -82,12 +92,39 @@ def _holds(text: str, word: str, key: str) -> bool:
     return False
 
 
-def _read_json(path: str) -> tuple:
+def _read_json(path: str, instance: bool = False) -> tuple:
     """(data, whether the file holds the word true or false): a file without
-    either holds no JSON boolean, and its arrays skip the per-entry check."""
+    either holds no JSON boolean, and its arrays skip the per-entry check.
+
+    With ``instance``, an instance whose tensor is packed reads False
+    unscanned: parsing it decodes no nested array, or rejects it first (two
+    tensors, or blocks as well), and base64 is full of the scan's key letters."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return json.loads(text), _holds(text, "true", "u") or _holds(text, "false", "a")
+    data = json.loads(text)
+    sc = data.get("structure_constants") if instance and isinstance(data, dict) else None
+    if isinstance(sc, dict) and "c_base64" in sc:
+        return data, False
+    return data, _holds(text, "true", "u") or _holds(text, "false", "a")
+
+
+def _encode_tensor(c: np.ndarray) -> dict:
+    if c.size > PACK_ABOVE_ENTRIES:
+        raw = np.asarray(c, dtype="<c16").tobytes()
+        return {"c_base64": base64.b64encode(raw).decode("ascii")}
+    return {"c": _encode_array(c)}
+
+
+def _decode_packed(payload, d: int) -> np.ndarray:
+    """The (d, d, d, d) tensor packed as base64 of little-endian complex128 in C order."""
+    _typed(payload, str, "'c_base64'")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"'c_base64' is not base64 ({exc})") from None
+    if len(raw) != 16 * d ** 4:
+        raise ValueError(f"'c_base64' holds {len(raw)} bytes, not 16 dim^4 = {16 * d ** 4}")
+    return np.frombuffer(raw, dtype="<c16").reshape((d,) * 4)
 
 
 def to_instance_dict(m: tern.TernarySpace, name: str = "instance") -> dict:
@@ -100,7 +137,7 @@ def to_instance_dict(m: tern.TernarySpace, name: str = "instance") -> dict:
             })
         return {"name": name, "blocks": blocks}
     return {"name": name, "structure_constants": {
-        "dim": m.dim, "c": _encode_array(np.asarray(m.structure.c))}}
+        "dim": m.dim, **_encode_tensor(np.asarray(m.structure.c))}}
 
 
 def _typed(value, kind, what):
@@ -146,14 +183,22 @@ def parse_instance_dict(data: dict, validate: bool = True, bools: bool = True) -
                 b.check_independent()
         return name, space
     sc = _typed(data["structure_constants"], dict, "'structure_constants'")
-    c = _decode_array(sc["c"], 4, bools)
-    if c.shape != (_int(sc["dim"], "'dim'"),) * 4:
-        raise ValueError("tensor shape disagrees with declared dim")
+    d = _int(sc["dim"], "'dim'")
+    if d < 1:
+        raise ValueError("'dim' must be at least 1")
+    if ("c" in sc) == ("c_base64" in sc):
+        raise ValueError("exactly one of 'c'/'c_base64' required")
+    if "c_base64" in sc:
+        c = _decode_packed(sc["c_base64"], d)
+    else:
+        c = _decode_array(sc["c"], 4, bools)
+        if c.shape != (d,) * 4:
+            raise ValueError("tensor shape disagrees with declared dim")
     return name, tern.TernarySpace.from_structure(c, validate=validate)
 
 
 def load_instance(path: str, validate: bool = True) -> tuple:
-    data, bools = _read_json(path)
+    data, bools = _read_json(path, instance=True)
     return parse_instance_dict(data, validate=validate, bools=bools)
 
 

@@ -170,8 +170,8 @@ class BlockEmbedding:
         prods = basis @ mats if left else mats @ basis
         if self.sign < 0:
             prods *= TWIST[x] * TWIST[y] * TWIST[t]
-        return _span_coords(lambda a: self.corner_coords(t, a), prods, DEFAULT_TOL,
-                            _MATRIX_LEAVES_SPAN)
+        return _span_coords(lambda a: self.corner_coords(t, a), prods, (basis, mats),
+                            DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
 
     def mul_big(self, a, b):
         """Product of materialized block matrices under this block's rule;
@@ -229,11 +229,11 @@ class StandardEmbedding:
         coords = x.coords if isinstance(x, TernaryElement) else np.asarray(x)
         return [b.materialize(coords[..., s]) for b, s in zip(self.blocks, self.block_slices)]
 
-    def _split(self, mats):
-        """Coordinates of per-block big matrices; InvalidInput when one
-        leaves its block's span."""
-        return [_span_coords(b.split, big, DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
-                for b, big in zip(self.blocks, mats)]
+    def _split(self, mats, factors):
+        """Coordinates of per-block big matrices, each formed from its block's
+        ``factors``; InvalidInput when one leaves its block's span."""
+        return [_span_coords(b.split, big, f, DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
+                for b, big, f in zip(self.blocks, mats, factors)]
 
     def norm(self, x) -> float:
         """Block operator norm of the concrete realization."""
@@ -244,8 +244,8 @@ class StandardEmbedding:
 
     def mul_coords(self, xa, xb):
         """Batched product on coordinate arrays (..., dim)."""
-        out = self._split([b.mul_big(x, y) for b, x, y in
-                           zip(self.blocks, self.materialize(xa), self.materialize(xb))])
+        pairs = list(zip(self.materialize(xa), self.materialize(xb)))
+        out = self._split([b.mul_big(x, y) for b, (x, y) in zip(self.blocks, pairs)], pairs)
         if not out:
             lead = np.broadcast_shapes(np.shape(xa)[:-1], np.shape(xb)[:-1])
             return np.zeros(lead + (0,), dtype=np.complex128)
@@ -269,7 +269,8 @@ class StandardEmbedding:
 
     def star_coords(self, coords):
         """Involution on coordinates: the adjoint of the block matrix."""
-        out = self._split([np.swapaxes(m, -1, -2).conj() for m in self.materialize(coords)])
+        mats = [np.swapaxes(m, -1, -2).conj() for m in self.materialize(coords)]
+        out = self._split(mats, [(m,) for m in mats])
         if not out:
             return np.zeros_like(np.asarray(coords))
         return np.concatenate(out, axis=-1)

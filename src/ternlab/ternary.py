@@ -14,6 +14,7 @@ for a passing dense structure tensor, a rigorous bound on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -581,14 +582,20 @@ class TernarySpace:
 # Triple products
 
 
-def _span_coords(project, mats: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _span_coords(project, mats: np.ndarray, factors, tol: float, what: str) -> np.ndarray:
     """The coordinates of ``project(mats)``, which returns (coordinates, worst
     residual); InvalidInput, its message starting with ``what``, when a matrix
-    leaves the span by more than tol relative to max(1, the largest entry)."""
+    leaves the span by more than tol relative to the larger of the largest
+    entry of mats and the product of the largest entries of the ``factors``
+    that formed them.  Both follow the scale of the data; the second keeps a
+    product that cancels to rounding, such as a* a = 0, from being judged
+    against that rounding."""
     coords, resid = project(mats)
-    scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
+    scale = mk.unit_scale(mats)
     if resid > tol * scale:
-        raise InvalidInput(f"{what} (residual {resid / scale:.2e})")
+        scale = max(scale, math.prod(mk.unit_scale(f) for f in factors))
+        if resid > tol * scale:
+            raise InvalidInput(f"{what} (residual {resid / scale:.2e})")
     return coords
 
 
@@ -596,10 +603,11 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
                    tol: float = DEFAULT_TOL) -> np.ndarray:
     """Batched triple product on coordinate arrays (..., dim)."""
     if m.is_block:
-        outs = [_span_coords(b.project, _triple_mats(b.realize(xs[..., s]), b.realize(ys[..., s]),
-                                                     b.realize(zs[..., s]), b.sign),
-                             tol, _TRIPLE_LEAVES_SPAN)
-                for b, s in zip(m.blocks, m.block_slices)]
+        outs = []
+        for b, s in zip(m.blocks, m.block_slices):
+            mats = [b.realize(w[..., s]) for w in (xs, ys, zs)]
+            outs.append(_span_coords(b.project, _triple_mats(*mats, b.sign), mats, tol,
+                                     _TRIPLE_LEAVES_SPAN))
         if not outs:
             return np.zeros(xs.shape, dtype=np.complex128)
         return np.concatenate(outs, axis=-1)
@@ -664,7 +672,8 @@ def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
                  right.reshape(n, r, k, k, c).transpose(0, 2, 3, 1, 4),
                  mid.reshape(n, k, r, k, c).transpose(0, 1, 3, 2, 4))
         for p, prod in enumerate(prods):
-            coords = _span_coords(b.project, prod, DEFAULT_TOL, _TRIPLE_LEAVES_SPAN)
+            coords = _span_coords(b.project, prod, (basis, basis, mats), DEFAULT_TOL,
+                                  _TRIPLE_LEAVES_SPAN)
             np.multiply(b.sign / scale, coords, out=out[p, :, sl, sl, sl])
     return out.reshape(-1, d * d, d)
 

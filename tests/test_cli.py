@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import math
@@ -30,6 +31,25 @@ def _run_json(argv):
     return code, json.loads(out.getvalue())
 
 
+def _pack(c):
+    """base64 of c as little-endian complex128 in C order."""
+    return base64.b64encode(np.asarray(c, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _assert_bit_exact(a, b):
+    # array_equal alone takes -0.0 for 0.0
+    assert a.shape == b.shape
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(a), part(b))
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+@pytest.fixture(scope="module")
+def scrambles(catalog):
+    rng = np.random.default_rng(4)
+    return [(f"{name}-scrambled", scramble(m, rng)[0]) for name, m in catalog]
+
+
 @pytest.mark.parametrize("text", [
     "true", "false", '[true, 1.5e-3]', '[false, 2]', '[1, true, 2]', '{"a": [0, false, 1]}',
     '[-1.5e+3, 2, true]', '[0.25, false]', '[1, 2.5e-3, -4]', '"tru"', '"alse"', '"u"', '"a"',
@@ -49,14 +69,42 @@ def test_round_trip_block_instances(catalog):
         for b1, b2 in zip(m.blocks, m2.blocks):
             assert b1.sign == b2.sign
             for x, y in zip(b1.basis, b2.basis):
-                assert np.array_equal(x, y)
+                _assert_bit_exact(x, y)
 
 
-def test_round_trip_structure_instance():
-    m = tern.as_structure_space(tern.diagonal_space(2, -1))
-    data = json.loads(json.dumps(cli.to_instance_dict(m, "s")))
-    _, m2 = cli.parse_instance_dict(data, validate=False)
-    assert np.array_equal(m2.structure.c, m.structure.c)
+def test_round_trip_structure_instance(catalog, scrambles):
+    # the catalog's structure presentations hold exact zeros, some of them -0.0
+    spaces = [(name, tern.as_structure_space(m)) for name, m in catalog] + scrambles
+    assert {m.dim ** 4 > cli.PACK_ABOVE_ENTRIES for _, m in spaces} == {True, False}
+    for name, m in spaces:
+        data = json.loads(json.dumps(cli.to_instance_dict(m, name)))
+        packed = m.dim ** 4 > cli.PACK_ABOVE_ENTRIES
+        assert set(data["structure_constants"]) == {"dim", "c_base64" if packed else "c"}
+        name2, m2 = cli.parse_instance_dict(data, validate=False)
+        assert name2 == name
+        _assert_bit_exact(m2.structure.c, m.structure.c)
+
+
+def test_every_command_reads_nested_and_packed_files_alike(tmp_path, scrambles):
+    for name, m in scrambles:
+        c = np.asarray(m.structure.c)
+        paths = [_write(tmp_path, f"{name}.{kind}.json", {
+            "name": name, "structure_constants": {"dim": m.dim, key: encode(c)}})
+            for kind, key, encode in (("nested", "c", cli._encode_array),
+                                      ("packed", "c_base64", _pack))]
+        ideal = _write(tmp_path, f"{name}.ideal.json",
+                       {"generators": [cli._encode_array(np.eye(m.dim)[0])]})
+        for command in cli.COMMANDS:
+            runs = []
+            for path in paths:
+                argv = [command, path, "--format", "json"]
+                argv += ["--ideal", ideal] if command == "quotient" else []
+                out = io.StringIO()
+                runs.append((cli.main(argv, out=out), out.getvalue()))
+            assert runs[0] == runs[1], (name, command)
+            # embed and wedderburn refuse structure input
+            code, text = runs[0]
+            assert (code, bool(text)) in ((0, True), (2, False)), (name, command)
 
 
 def test_verify_pass(mixed_file):
@@ -233,6 +281,11 @@ def test_malformed_file_exits_2(tmp_path):
 
 
 BLOCK = {"sign": 1, "rows": 1, "cols": 1, "basis": [[[[1, 0]]]]}
+ONE = _pack(np.ones((1, 1, 1, 1)))
+
+
+def _packed(dim, payload, **extra):
+    return {"structure_constants": dict(dim=dim, c_base64=payload, **extra)}
 
 
 @pytest.mark.parametrize("payload", [
@@ -249,9 +302,27 @@ BLOCK = {"sign": 1, "rows": 1, "cols": 1, "basis": [[[[1, 0]]]]}
     {"blocks": [dict(BLOCK, basis=[[[[1, None]]]])]},
     {"blocks": [dict(BLOCK, basis=[[[["1", 0]]]])]},
     {"blocks": [dict(BLOCK, basis=[[[[True, 0.5]]]])]},
+    _packed(1, ONE, c=[[[[[1, 0]]]]]),
+    {"structure_constants": {"dim": 1}},
+    _packed(1, 1),
+    _packed(1, ONE[:-4]),
+    _packed(1, ONE[:-1]),
+    _packed(1, ONE[:4] + " " + ONE[4:]),
+    _packed(1, ONE[:4] + "*" + ONE[5:]),
+    _packed(1, ONE[:4] + "\u00e9" + ONE[5:]),
+    _packed(2, ONE),
+    _packed(0, ""),
+    {"structure_constants": {"dim": 0, "c": []}},
+    _packed(-1, ONE),
+    _packed(1, _pack(np.full((1, 1, 1, 1), complex(math.nan, 0.0)))),
+    _packed(1, _pack(np.full((1, 1, 1, 1), complex(0.0, -math.inf)))),
 ], ids=["blocks-number", "blocks-object", "block-number", "basis-number",
         "structure-constants-number", "sign-list", "blocks-empty", "rows-float",
-        "rows-bool", "basis-bool", "basis-null", "basis-string", "basis-bool-and-number"])
+        "rows-bool", "basis-bool", "basis-null", "basis-string", "basis-bool-and-number",
+        "nested-and-packed", "no-tensor", "packed-number", "packed-truncated",
+        "packed-unpadded", "packed-space", "packed-star", "packed-non-ascii",
+        "packed-wrong-dim", "packed-dim-0", "nested-dim-0", "packed-dim-negative",
+        "packed-nan", "packed-inf"])
 def test_wrong_json_types_exit_2(tmp_path, payload):
     bad = _write(tmp_path, "bad.json", dict(payload, name="x"))
     for argv in (["verify"], ["decompose"], ["embed"], ["radical"], ["wedderburn"],
@@ -398,10 +469,15 @@ def _instance_reference(m, name):
 
 
 def test_encode_array_matches_per_entry_reference(catalog):
+    # the writer packs tensors of more than 256 entries; test_round_trip_structure_instance
+    # reads those back bit for bit
     for name, m in catalog:
         for p in (m, tern.as_structure_space(m)):
-            assert (json.dumps(cli.to_instance_dict(p, name))
-                    == json.dumps(_instance_reference(p, name)))
+            data = cli.to_instance_dict(p, name)
+            if p.is_block or p.dim ** 4 <= 256:
+                assert json.dumps(data) == json.dumps(_instance_reference(p, name))
+            else:
+                assert list(data["structure_constants"]) == ["dim", "c_base64"]
     for a in (np.array(1.5 - 2j), np.array(3), np.zeros(0), np.zeros((3, 0)),
               np.zeros((0, 2, 2), dtype=np.complex128), np.arange(6).reshape(2, 3)):
         assert json.dumps(cli._encode_array(a)) == json.dumps(_encode_reference(a))

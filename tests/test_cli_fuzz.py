@@ -6,13 +6,16 @@ nesting depths, non-finite and huge entries, empty lists.  Files are valid
 instances with one subtree replaced, or arbitrary JSON.
 """
 
+import base64
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import scramble
 from ternlab import cli
 from ternlab import ternary as tern
 
@@ -21,7 +24,7 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120
 
 COMMANDS = ("verify", "decompose", "embed", "radical", "quotient", "wedderburn")
 KEYS = ("name", "blocks", "structure_constants", "sign", "rows", "cols", "basis",
-        "dim", "c", "generators")
+        "dim", "c", "c_base64", "generators")
 
 _NUMBERS = st.one_of(st.integers(-2, 3), st.sampled_from(
     [0.5, -1e-300, 1e154, 1e200, 1.7e308, math.inf, -math.inf, math.nan, 10 ** 400]))
@@ -36,8 +39,19 @@ TEMPLATES = tuple(
     json.loads(json.dumps(cli.to_instance_dict(m, name))) for name, m in (
         ("mixed", tern.direct_sum(tern.scalar_space(+1), tern.scalar_space(-1))),
         ("row-anti", tern.full_matrix_space(1, 2, -1)),
-        ("struct", tern.as_structure_space(tern.diagonal_space(2, -1)))))
+        ("struct", tern.as_structure_space(tern.diagonal_space(2, -1))),
+        # d = 5: 625 entries, written packed
+        ("packed", scramble(tern.full_matrix_space(1, 5, -1), np.random.default_rng(0))[0])))
 IDEAL = {"generators": [[[1.0, 0.0], [0.0, 0.0]]]}
+PAYLOAD = TEMPLATES[3]["structure_constants"]["c_base64"]
+
+
+def _packed(dim, payload, **extra):
+    return {"name": "packed", "structure_constants": dict(dim=dim, c_base64=payload, **extra)}
+
+
+def _one_entry(z):
+    return base64.b64encode(np.array([z], dtype="<c16").tobytes()).decode("ascii")
 
 
 @st.composite
@@ -81,6 +95,17 @@ def _argv(command, path, ideal_path):
 @example("verify", {"structure_constants": {"dim": 1, "c": [[[[{}]]]]}}, IDEAL)
 @example("decompose", {"blocks": [dict(TEMPLATES[0]["blocks"][0], basis=[[[[10 ** 400, 0]]]])]},
          IDEAL)
+@example("verify", _packed(5, PAYLOAD, c=[[[[[1.0, 0.0]]]]]), IDEAL)
+@example("decompose", {"structure_constants": {"dim": 5}}, IDEAL)
+@example("verify", _packed(5, PAYLOAD[:-4]), IDEAL)
+@example("radical", _packed(5, PAYLOAD[:-1]), IDEAL)
+@example("verify", _packed(5, PAYLOAD[:8] + " " + PAYLOAD[9:]), IDEAL)
+@example("decompose", _packed(5, PAYLOAD[:8] + "*" + PAYLOAD[9:]), IDEAL)
+@example("verify", _packed(4, PAYLOAD), IDEAL)
+@example("verify", _packed(0, ""), IDEAL)
+@example("radical", _packed(-1, PAYLOAD), IDEAL)
+@example("verify", _packed(1, _one_entry(complex(math.nan, 0.0))), IDEAL)
+@example("quotient", _packed(1, _one_entry(complex(0.0, math.inf))), IDEAL)
 def test_exit_contract_holds_on_generated_files(fuzz_dir, command, instance, ideal):
     path, ideal_path = fuzz_dir / "instance.json", fuzz_dir / "ideal.json"
     path.write_text(json.dumps(instance), encoding="utf-8")

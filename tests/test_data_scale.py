@@ -23,6 +23,7 @@ from ternlab import cli
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import ternary as tern
+from ternlab.errors import InvalidInput
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -111,3 +112,14 @@ def test_embedded_ideal_keeps_its_corner_parts_at_every_scale(t):
             want = emb._corner_parts(e, idl.embed_ideal(e, idl.generated_ideal(m, gen))).dims
             got = idl.embed_ideal(es, idl.generated_ideal(es.base, gen))
             assert emb._corner_parts(es, got).dims == want, name
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-3, 1e-5])
+def test_triple_rejects_a_span_that_is_not_closed_at_every_scale(t):
+    # span{[[1, 1], [0, 0]], [[0, 0], [1, 0]]} is not closed (residual 0.5),
+    # whatever the scale of its blocks
+    basis = (t * np.array([[1.0, 1.0], [0.0, 0.0]]), t * np.array([[0.0, 0.0], [1.0, 0.0]]))
+    m = tern.TernarySpace.from_blocks([tern.SignedBlock(+1, 2, 2, basis)], validate=False)
+    e0, e1 = np.eye(2)
+    with pytest.raises(InvalidInput, match="left the block span"):
+        tern.triple(m, e0, e1, e0 + e1)
