@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import matkernel as mk
 from .embedding import (
@@ -244,7 +243,13 @@ def quotient_norm(m: TernarySpace, ideal: TernaryIdeal, f,
     nj = j.shape[1]
 
     # block-diagonal realizations of f and of J's basis, one batched call
-    mats = scipy.linalg.block_diag(*m.realize_batch(np.vstack([fv, j.T])))
+    parts = m.realize_batch(np.vstack([fv, j.T]))
+    mats = np.zeros((nj + 1, sum(p.shape[1] for p in parts), sum(p.shape[2] for p in parts)),
+                    dtype=np.complex128)
+    r = c = 0
+    for p in parts:
+        mats[:, r:r + p.shape[1], c:c + p.shape[2]] = p
+        r, c = r + p.shape[1], c + p.shape[2]
     fmat, jmats = mats[0], mats[1:]
     if nj == 0:
         n = mk.op_norm(fmat)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import matkernel as mk
 from .errors import (
@@ -867,7 +866,7 @@ def _subspace_restriction(m: TernarySpace, basis: np.ndarray,
     prods = _restricted_products(m, basis)
     inside = prods @ basis.conj()
     resid = float(np.abs(prods - inside @ basis.T).max(initial=0.0))
-    scale = max(1.0, float(np.abs(prods).max(initial=0.0)))
+    scale = mk.unit_scale(prods)
     if resid > tol * scale:
         raise DecompositionInconclusive(
             f"subspace is not product-closed (residual {resid / scale:.2e})")
@@ -879,12 +878,15 @@ def zettl_decompose(m: TernarySpace, tol: float = DEFAULT_TOL) -> ZettlSplit:
 
     On each part the quadratic operator ``g -> [g f f]`` is positive
     (resp. negative) semidefinite for every f.  Block presentations
-    split exactly by sign.  Structure presentations read the parts off
-    an ordered Schur form of the trace operator W(g) = sum_j [g b_j b_j]:
-    on a block W is right multiplication by sign * sum_j b_j* b_j, so it
-    is definite there with the block's sign, in any basis.  Non-real or
-    near-zero spectrum of W raises DecompositionInconclusive, both judged
-    relative to ||W||, so the split does not depend on the scale of c.
+    split exactly by sign.  Structure presentations span M+ and M- by the
+    eigenvectors of positive and negative eigenvalue of the trace operator
+    W(g) = sum_j [g b_j b_j]: on a block W is right multiplication by
+    sign * sum_j b_j* b_j, definite there with the block's sign, so in any
+    basis W is similar to a Hermitian matrix, hence diagonalizable with
+    real spectrum.  Non-real or near-zero spectrum of W raises
+    DecompositionInconclusive, both judged relative to ||W||, so the split
+    does not depend on the scale of c; so do eigenvectors too close to
+    dependent to span M, and a part that is not product-closed.
     """
     d = m.dim
     if m.is_block:
@@ -899,28 +901,20 @@ def zettl_decompose(m: TernarySpace, tol: float = DEFAULT_TOL) -> ZettlSplit:
             minus_coords=eye[:, signs < 0],
         )
 
-    if d == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return ZettlSplit(_empty_space(), _empty_space(), empty, empty)
-
     w = np.einsum("ijjl->li", m.structure.c)
     scale = mk.op_norm(w)
-    eigvals = np.linalg.eigvals(w)
+    eigvals, vecs = np.linalg.eig(w)
     if np.max(np.abs(eigvals.imag), initial=0.0) > 1e-8 * scale:
         raise DecompositionInconclusive("trace operator has non-real spectrum")
-    gap = 1e-9 * scale
-    if np.any(np.abs(eigvals.real) <= gap):
+    if np.any(np.abs(eigvals.real) <= 1e-9 * scale):
         raise DecompositionInconclusive("trace operator has near-zero spectrum")
 
-    _, z_pos, n_pos = scipy.linalg.schur(
-        w, output="complex", sort=lambda lam: lam.real > gap)
-    _, z_neg, n_neg = scipy.linalg.schur(
-        w, output="complex", sort=lambda lam: lam.real < -gap)
+    p = mk.colspace(vecs[:, eigvals.real > 0])
+    n = mk.colspace(vecs[:, eigvals.real < 0])
+    n_pos, n_neg = p.shape[1], n.shape[1]
     if n_pos + n_neg != d:
         raise DecompositionInconclusive(
             f"positive and negative subspaces have dims {n_pos}+{n_neg} != {d}")
-    p = z_pos[:, :n_pos]
-    n = z_neg[:, :n_neg]
     if n_neg == 0:
         return ZettlSplit(m, _empty_space(), np.eye(d, dtype=np.complex128),
                           np.zeros((d, 0), dtype=np.complex128))

@@ -4,8 +4,9 @@ of the data.
 ``ternary._ideal_products`` divides the basis products by the data scale
 (|c|max on structure input, the square of the largest block entry on block
 input), ``zettl_decompose`` judges the trace operator's spectrum relative to
-its norm, and the radical's trace-form certificate and ``radical._ambient``'s
-algebra both read the data brought to unit scale (``radical._unit_space``).
+its norm and a part's closure relative to its largest product, and the
+radical's trace-form certificate and ``radical._ambient``'s algebra both read
+the data brought to unit scale (``radical._unit_space``).
 Multiplying the blocks or c by any t then leaves the generated ideals, the
 ``is_ideal`` verdicts, the Zettl dimensions and the (zero) radical, on either
 path, as they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
@@ -23,7 +24,7 @@ from ternlab import cli
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import ternary as tern
-from ternlab.errors import InvalidInput
+from ternlab.errors import DecompositionInconclusive, InvalidInput
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -123,3 +124,15 @@ def test_triple_rejects_a_span_that_is_not_closed_at_every_scale(t):
     e0, e1 = np.eye(2)
     with pytest.raises(InvalidInput, match="left the block span"):
         tern.triple(m, e0, e1, e0 + e1)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6, 1e3])
+def test_zettl_rejects_a_part_that_is_not_closed_at_every_scale(t):
+    # one entry of c moved by 1e-6 leaves M+ short of product-closed by
+    # 6.7e-7 relative to its largest product, whatever the scale of c
+    full = tern.full_matrix_space
+    c = np.array(tern.structure_constants_of(tern.direct_sum(full(2, 2, +1), full(1, 2, -1))).c)
+    c[0, 0, 0, 5] += 1e-6
+    m = tern.TernarySpace.from_structure(t * c, validate=False)
+    with pytest.raises(DecompositionInconclusive, match="not product-closed"):
+        tern.zettl_decompose(m)

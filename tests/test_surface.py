@@ -1,5 +1,5 @@
-"""Every name the package exports has a caller, and only the callables whose
-callers set a tolerance take one.
+"""Every name the package exports has a caller, only the callables whose
+callers set a tolerance take one, and the library imports no scipy.
 
 A name exported from ``ternlab/__init__.py`` must be referenced, outside its
 own definition, by a ``src/ternlab`` module, by the acceptance criteria, by a
@@ -10,8 +10,11 @@ not count.  References are read from the syntax tree: a ``Name`` or an
 
 import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import ternlab
 
@@ -84,3 +87,13 @@ def test_only_callables_whose_callers_set_a_tolerance_take_one():
         elif inspect.isfunction(obj) and _takes_tol(obj):
             takers.add(name)
     assert takers == TOL_TAKERS
+
+
+def test_the_cli_loads_no_scipy():
+    # numpy is the library's one dependency; scipy is a reference for the
+    # tests only.  A fresh interpreter sees transitive imports as well.
+    probe = "import sys, ternlab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import scramble
+from conftest import mixed_split_instances, scramble, standard_instances
 from ternlab import matkernel as mk
 from ternlab import ternary as tern
 from ternlab.errors import (
@@ -164,6 +165,8 @@ def test_zettl_idempotent():
     ms = tern.as_structure_space(m)
     again = tern.zettl_decompose(ms)
     assert again.plus is ms and again.minus.dim == 0
+    empty = tern.zettl_decompose(tern.TernarySpace.from_structure(np.zeros((0, 0, 0, 0))))
+    assert (empty.plus.dim, empty.minus.dim, empty.plus_coords.shape) == (0, 0, (0, 0))
 
 
 def test_zettl_cross_products_vanish():
@@ -218,6 +221,30 @@ def test_zettl_inconclusive_on_degenerate_tensor():
     z = tern.TernarySpace.from_structure(np.zeros((2, 2, 2, 2)))
     with pytest.raises(DecompositionInconclusive):
         tern.zettl_decompose(z)
+
+
+def _schur_split(m):
+    """Reference Zettl split of structure input: ordered complex Schur forms
+    of the trace operator, one per sign."""
+    w = np.einsum("ijjl->li", m.structure.c)
+    _, zp, kp = scipy.linalg.schur(w, output="complex", sort=lambda lam: lam.real > 0)
+    _, zn, kn = scipy.linalg.schur(w, output="complex", sort=lambda lam: lam.real < 0)
+    return zp[:, :kp], zn[:, :kn]
+
+
+def test_zettl_eigenvector_split_matches_schur():
+    # 60 scrambles: the catalog, the mixed splits, and the catalog again in
+    # bases of condition up to 200
+    rng = np.random.default_rng(31)
+    cases = ([(name, m, 20.0) for name, m in standard_instances()]
+             + [(name, m, 20.0) for name, m, _, _ in mixed_split_instances()]
+             + [(name, m, 200.0) for name, m in standard_instances()])
+    for name, m, cond in cases:
+        ms = scramble(m, rng, max_cond=cond)[0]
+        split = tern.zettl_decompose(ms)
+        for got, want in zip((split.plus_coords, split.minus_coords), _schur_split(ms)):
+            assert got.shape == want.shape, (name, cond)
+            assert mk.subspace_distance(got, want) <= 1e-12, (name, cond)
 
 
 def test_triple_shape_mismatch():
