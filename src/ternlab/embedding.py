@@ -527,6 +527,10 @@ def _corner_groups(e: StandardEmbedding, corners: PeirceCorners, x: int, left: b
     corner blocks by ``BlockEmbedding.corner_products``.  ``q`` is the two
     product parts on ``cols``: zero outside their corners, so reading a
     product against it is reading it against the sum of all the parts.
+    The products of M and Mbar, in L and R, are of degree 2 in the scale of
+    their block and the others of degree 0, so the former are divided by
+    the block's data scale, the square of its largest entry: every product
+    then reads the same at any scale of any block.
     """
     idx = e.corner_indices
     # (basis corner, product corner) of each composable pair with x
@@ -538,14 +542,16 @@ def _corner_groups(e: StandardEmbedding, corners: PeirceCorners, x: int, left: b
     within = [[slice(lo, hi) for lo, hi in zip(*ends)] for ends in zip(cuts[:-1], cuts[1:])]
     starts = [np.cumsum([0] + [len(idx[CORNERS[pair[k]]]) for pair in pairs]) for k in (0, 1)]
     part = corners.parts[x][idx[CORNERS[x]]]
+    scales = [mk.unit_scale(b.m_stack) ** 2 for b in e.blocks]
 
     def groups():
         for s in mk.span_chunks(part, len(rows)):
             group = np.zeros((len(s), len(rows), len(cols)), dtype=np.complex128)
             for (y, t), r0, c0 in zip(pairs, *starts):
                 block = group[:, r0:, c0:]
-                for b, at in zip(e.blocks, within):
-                    block[:, at[y], at[t]] = b.corner_products(y, x, t, s[:, at[x]], left)
+                for b, at, scale in zip(e.blocks, within, scales):
+                    prods = b.corner_products(y, x, t, s[:, at[x]], left)
+                    block[:, at[y], at[t]] = prods / scale if {x, y} == {1, 2} else prods
             yield group
 
     return rows, cols, groups(), q
@@ -557,7 +563,8 @@ def _assoc_ideal_residual(e: StandardEmbedding, corners: PeirceCorners) -> float
     in each order, as ``_corner_groups`` forms them, through
     ``matkernel.span_residual``.  A group holds one column's products in one
     order, so the residual equals the per-column one of the products formed
-    as whole block matrices (by ``mul_coords``) on the parts' columns.
+    as whole block matrices (by ``mul_coords``) on the parts' columns, with
+    those of M and Mbar divided by their block's data scale.
     """
     return max((mk.span_residual(groups, q)
                 for x in range(len(CORNERS)) for left in (True, False)

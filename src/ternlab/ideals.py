@@ -82,9 +82,48 @@ def is_ideal(m: TernarySpace, span) -> bool:
 def generated_ideal(m: TernarySpace, gens) -> TernaryIdeal:
     """Smallest ideal containing the generators (fixed point of products).
 
+    Products across blocks vanish, and each block's support projections lie
+    in its own linking algebra, so on block input the ideal is the sum over
+    the blocks of the ideals that the generators' parts in each block
+    produce in that block alone.  A block is touched when its rows of the
+    orthonormal generator span have spectral norm above
+    ``matkernel.DEFAULT_TOL``; each touched block is closed by
+    ``_closed_span`` in its own coordinates, starting from the column space
+    of those rows, and the others are left out.  Structure input is closed
+    as one part.  The ideal records the largest part residual, or none when
+    a part recorded none.
+    """
+    gens = gens if isinstance(gens, (list, tuple)) else np.atleast_2d(gens)
+    cols = [as_coords(m, g) for g in gens]
+    span = mk.colspace(np.stack(cols, axis=1) if cols else
+                       np.zeros((m.dim, 0), dtype=np.complex128))
+    if not m.is_block:
+        basis, residual = _closed_span(m, span)
+    else:
+        basis, residual = np.zeros((m.dim, 0), dtype=np.complex128), 0.0
+        for b, sl in zip(m.blocks, m.block_slices):
+            rows = span[sl]
+            if not rows.size or np.linalg.norm(rows, 2) <= mk.DEFAULT_TOL:
+                continue
+            part, resid = _closed_span(TernarySpace(blocks=(b,)), mk.colspace(rows))
+            placed = np.zeros((m.dim, part.shape[1]), dtype=np.complex128)
+            placed[sl] = part
+            basis = np.hstack([basis, placed])
+            residual = None if None in (residual, resid) else max(residual, resid)
+    ideal = TernaryIdeal(parent=m, basis=basis)
+    if residual is not None:
+        vars(ideal)["residual"] = residual  # fills the cached property
+    return ideal
+
+
+def _closed_span(m: TernarySpace, span: np.ndarray) -> tuple:
+    """The closure of an orthonormal span under the basis products of m, a
+    structure space or one block, and its residual in ``span_residual``'s
+    measure (per pattern and span row), or None when none was recorded.
+
     Each round adds the basis products of the span, so the span grows
     or the loop stops, within ``m.dim`` rounds; they are divided by the data
-    scale (see ``_ideal_products``), so the ideal is scale-free.
+    scale (see ``_ideal_products``), so the closure is scale-free.
 
     A chunk's products P meet the current basis Q (k orthonormal columns)
     through their residual R = P - Q(QᴴP) first.  [Q | P] = [Q | QQᴴP] +
@@ -96,13 +135,13 @@ def generated_ideal(m: TernarySpace, gens) -> TernaryIdeal:
     otherwise Q becomes colspace([Q | P]).
 
     A closing round that skips every chunk has formed the products of the
-    returned span and their residuals, so it records the ideal's ``residual``
-    in ``span_residual``'s measure (per pattern and span row).
+    returned span and their residuals, so it records them.  A zero span
+    records 0, and so does a full one, which leaves no residual in that
+    measure, with no closing round: on structure input always, as its
+    products pass no span check that could raise, and on a block whose
+    ``closure_residual`` is within tol.  A full block that fails that check
+    records none, so its products are formed when the residual is read.
     """
-    gens = gens if isinstance(gens, (list, tuple)) else np.atleast_2d(gens)
-    cols = [as_coords(m, g) for g in gens]
-    span = mk.colspace(np.stack(cols, axis=1) if cols else
-                       np.zeros((m.dim, 0), dtype=np.complex128))
     d, tol = m.dim, mk.DEFAULT_TOL
     closing = None  # the round's residual while it has merged no chunk
     while 0 < span.shape[1] < d:
@@ -120,10 +159,10 @@ def generated_ideal(m: TernarySpace, gens) -> TernaryIdeal:
         if grown.shape[1] == span.shape[1]:
             break
         span = grown
-    ideal = TernaryIdeal(parent=m, basis=span)
-    if closing is not None:
-        vars(ideal)["residual"] = closing  # fills the cached property
-    return ideal
+    if span.shape[1] == 0 or (span.shape[1] == d and (
+            not m.is_block or m.blocks[0].closure_residual() <= tol)):
+        closing = 0.0
+    return span, closing
 
 
 def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:

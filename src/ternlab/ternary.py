@@ -292,12 +292,17 @@ class SignedBlock:
         shape = np.shape(mats)[:-2] + (self.dim,)
         return coords.reshape(shape), float(resid.max()) if resid.size else 0.0
 
-    def closure_residual(self) -> float:
-        """Worst distance of a basis triple product from the span, relative
-        to the largest entry of those products: of degree 0 in the basis."""
+    @cached_property
+    def _closure_residual(self) -> float:
         prods = _basis_triples(self.stack)
         _, resid = self.project(prods.reshape(-1, self.rows, self.cols))
         return resid / mk.unit_scale(prods)
+
+    def closure_residual(self) -> float:
+        """Worst distance of a basis triple product from the span, relative
+        to the largest entry of those products: of degree 0 in the basis.
+        Computed once per block."""
+        return self._closure_residual
 
     def check_independent(self):
         """InvalidInput unless the basis is linearly independent."""
@@ -629,9 +634,10 @@ def _triple_coords(m: TernarySpace, xs: np.ndarray, ys: np.ndarray, zs: np.ndarr
 def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
     """[e_i e_k s], [s e_i e_k] and [e_i s e_k] for each row s of ``s``,
     grouped by pattern and row as (3 * len(s), d * d, d), divided by the
-    data scale: |c|max on structure input, the square of the largest block
-    entry on block input (the coordinates are of degree 1 in c, 2 in the
-    blocks), so ranks and residuals read on them do not depend on the scale.
+    data scale: |c|max on structure input, and on block input each block's
+    products by the square of that block's largest entry (the coordinates
+    are of degree 1 in c, 2 in the blocks), so ranks and residuals read on
+    them do not depend on the scale of the data or of any one block.
 
     Structure input contracts s with c and its cached ``_slot_first`` copies,
     d^4 multiply-adds a row.
@@ -651,10 +657,10 @@ def _ideal_products(m: TernarySpace, s: np.ndarray) -> np.ndarray:
         np.matmul(s, c.reshape(d, d ** 3), out=out[1])
         np.matmul(s.conj(), middle, out=out[2])
         return out.reshape(-1, d * d, d)
-    scale = max(mk.unit_scale(b.stack) for b in m.blocks) ** 2
     out = np.zeros((3, n, d, d, d), dtype=np.complex128)
     for b, sl in zip(m.blocks, m.block_slices):
         k, r, c = b.dim, b.rows, b.cols
+        scale = mk.unit_scale(b.stack) ** 2
         basis, mats = b.stack, b.realize(s[:, sl])
         adj, mats_adj = (np.swapaxes(a, -1, -2).conj() for a in (basis, mats))
         # one matmul per pattern over all rows and pairs (i, k):

@@ -87,10 +87,26 @@ def lattice_spaces():
 
 def data_scale(m):
     """The scale the ideal checks divide their products by: |c|max on
-    structure input, the square of the largest block entry on block input."""
+    structure input; on block input, per coordinate, the square of the
+    largest entry of the block the coordinate lies in (products of a block's
+    basis stay in that block)."""
     if not m.is_block:
         return float(np.abs(m.structure.c).max(initial=0.0)) or 1.0
-    return max(float(np.abs(b.stack).max()) for b in m.blocks) ** 2
+    return np.concatenate([np.full(b.dim, float(np.abs(b.stack).max()) ** 2) for b in m.blocks])
+
+
+def peirce_scale(e, x):
+    """Per embedding coordinate i, what the graded ideal check divides the
+    products of e_i with a column of corner x by, in either order: the
+    square of the largest entry of e_i's block when e_i and the column lie
+    in M and Mbar, one in each, and 1 otherwise."""
+    out = np.ones(e.dim)
+    if x in (1, 2):
+        other = e.corner_indices[("L", "M", "Mbar", "R")[3 - x]]
+        block = np.concatenate([np.full(b.dim, float(np.abs(b.m_stack).max()) ** 2)
+                                for b in e.blocks])
+        out[other] = block[other]
+    return out
 
 
 def scaled(m, t):

@@ -4,13 +4,14 @@
 from each presentation's own data, and ``embedding._assoc_ideal_residual``
 forms e_i s and s e_i on the corner parts of s, corner block by corner block.  The references below form the same
 products as generic products of broadcast one-hot batches, through
-``_triple_coords`` and ``mul_coords``.
+``_triple_coords`` and ``mul_coords``, divided as the kernels divide them
+(``conftest.data_scale`` and ``conftest.peirce_scale``).
 """
 
 import numpy as np
 import pytest
 
-from conftest import data_scale, lattice_spaces, scramble
+from conftest import data_scale, lattice_spaces, peirce_scale, scramble
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -29,9 +30,13 @@ def _ideal_products_reference(m, s):
     return prods.reshape(-1, d * d, d) / data_scale(m)
 
 
-def _assoc_reference(e, span):
+def _assoc_reference(e, corners):
     eye = np.eye(e.dim, dtype=np.complex128)
-    return mk.span_residual((prods for s in mk.span_chunks(span, 4 * e.dim)
+    span = np.hstack(corners.parts)
+    # divided by the block's data scale where M meets Mbar, as the check reads them
+    return mk.span_residual((prods / peirce_scale(e, x)[:, None]
+                             for x, part in enumerate(corners.parts)
+                             for s in mk.span_chunks(part, 4 * e.dim)
                              for prods in (e.mul_coords(eye, s[:, None]),
                                            e.mul_coords(s[:, None], eye))), span)
 
@@ -86,5 +91,5 @@ def test_assoc_ideal_residual_matches_mul_coords(catalog):
         for span in spans:
             # the kernel reads a span's corner parts: a random span's graded hull
             corners = emb._corner_parts(e, span)
-            want = _assoc_reference(e, np.hstack(corners.parts))
+            want = _assoc_reference(e, corners)
             assert abs(emb._assoc_ideal_residual(e, corners) - want) <= REL * max(1.0, want), name

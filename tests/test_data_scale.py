@@ -2,14 +2,17 @@
 of the data.
 
 ``ternary._ideal_products`` divides the basis products by the data scale
-(|c|max on structure input, the square of the largest block entry on block
-input), ``zettl_decompose`` judges the trace operator's spectrum relative to
-its norm and a part's closure relative to its largest product, and the
+(|c|max on structure input, on block input each block's products by the
+square of that block's largest entry), the graded Peirce check divides the
+products of M and Mbar the same way, ``zettl_decompose`` judges the trace
+operator's spectrum relative to its norm and a part's closure relative to
+its largest product, and the
 radical's trace-form certificate and ``radical._ambient``'s algebra both read
 the data brought to unit scale (``radical._unit_space``).
 Multiplying the blocks or c by any t then leaves the generated ideals, the
 ``is_ideal`` verdicts, the Zettl dimensions and the (zero) radical, on either
 path, as they are at t = 1, and ``embed_ideal`` keeps the same corner parts.
+Scaling one block of a direct sum by t changes none of these either.
 """
 
 import io
@@ -23,8 +26,9 @@ from conftest import lattice_spaces, no_certificate, scaled, scramble
 from ternlab import cli
 from ternlab import embedding as emb
 from ternlab import ideals as idl
+from ternlab import matkernel as mk
 from ternlab import ternary as tern
-from ternlab.errors import DecompositionInconclusive, InvalidInput
+from ternlab.errors import DecompositionInconclusive, InvalidInput, NotAnIdeal
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -136,3 +140,56 @@ def test_zettl_rejects_a_part_that_is_not_closed_at_every_scale(t):
     m = tern.TernarySpace.from_structure(t * c, validate=False)
     with pytest.raises(DecompositionInconclusive, match="not product-closed"):
         tern.zettl_decompose(m)
+
+
+def _two_scales(big, small):
+    """full(4, 4, +1) scaled by big ⊕ full(2, 2, -1) scaled by small."""
+    full = tern.full_matrix_space
+    return tern.direct_sum(scaled(full(4, 4, +1), big), scaled(full(2, 2, -1), small))
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-3, 1e-4, 1e-5, 1e-7])
+def test_ideal_checks_read_each_block_at_its_own_scale(t):
+    # each block's products are divided by that block's own scale: with one
+    # scale for all, span{E11} of a block scaled by 1e-4 read residual 1e-8,
+    # an ideal, and from 1e-5 on the closure of E11 stopped at E11
+    eye = np.eye(20, dtype=np.complex128)
+    for big, small, at, block in ((1.0, t, 16, slice(16, 20)), (t, 1.0, 0, slice(0, 16)),
+                                  (1.0, 1.0 / t, 0, slice(0, 16))):
+        m = _two_scales(big, small)
+        assert not idl.is_ideal(m, eye[:, at:at + 1])
+        ideal = idl.generated_ideal(m, [eye[at]])
+        assert mk.subspace_distance(ideal.basis, eye[:, block]) <= 1e-12
+        assert idl.is_ideal(m, ideal)
+        q = idl.quotient(m, ideal)
+        assert q.dim == 20 - ideal.dim
+        assert idl.quotient_zettl_dims(m, ideal) == _zettl_dims(q)
+
+
+def test_quotient_by_the_small_block_passes(tmp_path):
+    m = _two_scales(1.0, 1e-5)
+    space, ideal = tmp_path / "two-scales.json", tmp_path / "ideal.json"
+    space.write_text(json.dumps(cli.to_instance_dict(m, "two-scales")))
+    ideal.write_text(json.dumps({"generators": [cli._encode_array(np.eye(20)[16])]}))
+    out = io.StringIO()
+    assert cli.main(["quotient", str(space), "--ideal", str(ideal), "--format", "json"],
+                    out=out) == cli.EXIT_OK
+    details = json.loads(out.getvalue())["details"]
+    assert (details["ideal_dim"], details["quotient_dim"]) == (4, 16)
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 1.0, 1e3, 1e5])
+def test_peirce_check_reads_each_block_at_its_own_scale(t):
+    # the products of M and Mbar land in L and R at the square of the block
+    # scale; read against max(1, their size), M ⊕ Mbar alone passed at 1e-5
+    for name, m in lattice_spaces():
+        e, es = emb.build_embedding(m), emb.build_embedding(scaled(m, t))
+        for sl in m.block_slices:
+            gen = [np.eye(m.dim, dtype=np.complex128)[sl.start]]
+            ideal = idl.embed_ideal(es, idl.generated_ideal(es.base, gen))
+            parts = emb.peirce_split(es, ideal)
+            unscaled = emb.peirce_split(e, idl.embed_ideal(e, idl.generated_ideal(m, gen)))
+            assert parts.dims == unscaled.dims, name
+            if (name, sl.start) == ("f33p-f22m-d2p", 0):
+                with pytest.raises(NotAnIdeal, match="ideal check"):
+                    emb.peirce_split(es, np.hstack([parts.m, parts.mbar]))

@@ -9,14 +9,15 @@ space), and the corner units P and Q of ``build_embedding`` as the
 projections onto the eigenvectors of sum x x* above 1e-10 of the largest.
 The graded ideal check forms only the composable corner products of the
 parts; its product groups are compared with the products of whole block
-matrices that ``mul_coords`` forms.
+matrices that ``mul_coords`` forms, divided as the check divides them
+(``conftest.peirce_scale``).
 """
 
 import itertools
 
 import numpy as np
 
-from conftest import lattice_spaces, random_closure_space
+from conftest import lattice_spaces, peirce_scale, random_closure_space
 from test_radical import _nonzero_ternary_radicals
 from ternlab import embedding as emb
 from ternlab import ideals as idl
@@ -109,6 +110,7 @@ def test_corner_groups_match_block_matrix_products(catalog):
                 for j, s in enumerate(part.T):
                     s = np.broadcast_to(s, eye.shape)
                     want = e.mul_coords(eye, s) if left else e.mul_coords(s, eye)
+                    want /= peirce_scale(e, x)[:, None]
                     scale = max(1.0, float(np.abs(want).max()))
                     assert np.abs(got[j] - want[np.ix_(rows, cols)]).max() <= TOL * scale, name
                     want[np.ix_(rows, cols)] = 0.0

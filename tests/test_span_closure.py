@@ -13,7 +13,7 @@ residual against the current basis is within tolerance.
 import numpy as np
 import pytest
 
-from conftest import data_scale, lattice_spaces, scaled, scramble
+from conftest import data_scale, lattice_spaces, peirce_scale, scaled, scramble
 from ternlab import embedding as emb
 from ternlab import ideals as idl
 from ternlab import matkernel as mk
@@ -29,13 +29,17 @@ def _worst(prods, q):
     return float(resid) / max(1.0, float(np.abs(prods).max(initial=0.0)))
 
 
-def _assoc_reference(e, span):
+def _assoc_reference(e, corners):
     eye = np.eye(e.dim, dtype=np.complex128)
+    span = np.hstack(corners.parts)
     worst = 0.0
-    for j in range(span.shape[1]):
-        s = np.broadcast_to(span[:, j], (e.dim, e.dim))
-        for prods in (e.mul_coords(eye, s), e.mul_coords(s, eye)):
-            worst = max(worst, _worst(prods, span))
+    for x, part in enumerate(corners.parts):
+        # divided by the block's data scale where M meets Mbar, as the check reads them
+        scale = peirce_scale(e, x)[:, None]
+        for j in range(part.shape[1]):
+            s = np.broadcast_to(part[:, j], (e.dim, e.dim))
+            for prods in (e.mul_coords(eye, s), e.mul_coords(s, eye)):
+                worst = max(worst, _worst(prods / scale, span))
     return worst
 
 
@@ -96,7 +100,7 @@ def _check_assoc(e, span):
     """The graded Peirce check on a span's corner parts against the
     per-column reference on the parts' columns; the residual it returns."""
     corners = emb._corner_parts(e, span)
-    want = _assoc_reference(e, np.hstack(corners.parts))
+    want = _assoc_reference(e, corners)
     assert abs(emb._assoc_ideal_residual(e, corners) - want) <= TOL
     return want
 
@@ -237,8 +241,15 @@ def test_generated_ideal_skip_rule_matches_reference(catalog):
              for m in [m for _, m in catalog] + scrambles]
     cases += [(m, [np.eye(m.dim, dtype=np.complex128)[sl.start]])
               for _, m in lattice_spaces() for sl in m.block_slices]
-    closing = 0
+    closing = filled = 0
     for m, gens in cases:
+        # the closure runs in the generator's block on block input, which
+        # costs one more colspace call, and in the whole space on structure input
+        at = int(np.argmax(np.abs(gens[0])))
+        part, touched = m.dim, 0
+        if m.is_block:
+            part = next(b.dim for b, sl in zip(m.blocks, m.block_slices) if at in range(sl.start, sl.stop))
+            touched = 1
         for t in (1.0, 1e6, 1e-6):
             space = scaled(m, t)
             ideal, calls = _closure_counting_calls(space, gens)
@@ -247,16 +258,24 @@ def test_generated_ideal_skip_rule_matches_reference(catalog):
             assert mk.subspace_distance(ideal.basis, ref) <= 1e-10
             if t == 1.0:
                 unscaled = ideal.dim, calls
-                if ideal.dim < m.dim:
-                    # an ideal short of the whole space closes on a skipped chunk,
-                    # f44p-f22m's 16-dim ideal of its first coordinate among them
+                # colspace: the generators, the block's rows, each merge and the
+                # ideal's basis; products: each merge and each skipped chunk
+                if ideal.dim < part:
+                    # an ideal short of its part closes on a skipped chunk,
+                    # as mix-three-blocks' ideal of its first coordinate does
                     closing += 1
-                    assert calls["colspace"] < calls["products"] + 2
+                    assert calls["colspace"] < calls["products"] + 2 + touched
+                else:
+                    # a part its closure fills needs no closing round: no chunk
+                    # is skipped, f44p-f22m's 16-dim ideal of its first
+                    # coordinate among them
+                    filled += 1
+                    assert calls["colspace"] == calls["products"] + 2 + touched
             else:
                 # the products are divided by the data scale (t^2 on blocks, t on
                 # structure constants): the closure takes the same steps at every t
                 assert (ideal.dim, calls) == unscaled
-    assert closing >= 10
+    assert closing >= 5 and filled >= 40
 
 
 def test_generated_ideal_records_the_residual_of_its_closing_round(catalog):
