@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel as mk
-from .errors import DecompositionInconclusive, NotAnIdeal, ShapeError
+from .errors import DecompositionInconclusive, InvalidInput, NotAnIdeal, ShapeError
 from .ternary import (
     AXIOM_TOL,
     DEFAULT_TOL,
@@ -172,6 +172,19 @@ class BlockEmbedding:
             prods *= TWIST[x] * TWIST[y] * TWIST[t]
         return _span_coords(lambda a: self.corner_coords(t, a), prods, (basis, mats),
                             DEFAULT_TOL, _MATRIX_LEAVES_SPAN)
+
+    @cached_property
+    def corners_closed(self) -> bool:
+        """Whether the 8 composable corner products of the basis
+        (``CORNER_PRODUCTS``) pass their corner span checks, so that the
+        block's whole L, M, Mbar and R corners form an ideal of the
+        embedding; computed once per block."""
+        try:
+            for x, y, t in CORNER_PRODUCTS:
+                self.corner_products(y, x, t, np.eye(self.dims[x]), left=False)
+        except InvalidInput:
+            return False
+        return True
 
     def mul_big(self, a, b):
         """Product of materialized block matrices under this block's rule;

@@ -12,13 +12,14 @@ hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import matkernel as mk
 from .embedding import (
     CORNERS,
+    BlockEmbedding,
     PeirceCorners,
     StandardEmbedding,
     _assoc_ideal_residual,
@@ -31,6 +32,7 @@ from .ternary import (
     _empty_space,
     _ideal_products,
     _restricted_products,
+    _span_coords,
     _triple_coords,  # noqa: F401  perfbench/test_perfbench.py checks this binding
     as_coords,
     zettl_decompose,
@@ -169,36 +171,76 @@ def embed_ideal(e: StandardEmbedding, ideal: TernaryIdeal) -> np.ndarray:
     """The ideal L(I) ⊕ I ⊕ Ibar ⊕ R(I) inside the embedding.
 
     I sits in the M slot and Ibar in the Mbar slot; L(I) = span{x y*}
-    and R(I) = span{x* y} are their products in both orders, each in its
-    own corner.  Returns the four parts side by side, an orthonormal column
-    basis in embedding coordinates, once I passes ``is_ideal`` and the parts
-    pass the graded product check ``_assoc_ideal_residual``, both within
-    AXIOM_TOL, and L(I) and R(I) their corners' span checks at DEFAULT_TOL
-    (NotAnIdeal otherwise).  An ideal of another space than ``e.base`` raises
+    and R(I) = span{x* y} are their products in both orders.  Returns the
+    four parts side by side, an orthonormal column basis in embedding
+    coordinates, each zero outside its corner, once I passes ``is_ideal``
+    within AXIOM_TOL; an ideal of another space than ``e.base`` raises
     NotAnIdeal.
+
+    Products across blocks vanish, so the parts are built block by block.
+    A block is touched when its rows of I's basis have spectral norm above
+    ``matkernel.DEFAULT_TOL``, and I's part in it is their column space; an
+    ideal is graded by the blocks, so parts whose ranks do not add up to
+    ``ideal.dim`` raise NotAnIdeal before any product is formed.  A part
+    that fills its block takes the block's whole corners, forming no
+    product, as span{x y*} is then the L corner by its definition, once
+    ``BlockEmbedding.corners_closed``.  Any other touched block takes its
+    parts from ``_block_parts`` and must pass the graded product check
+    ``_assoc_ideal_residual`` on them alone within AXIOM_TOL.
     """
     if not _same_space(ideal.parent, e.base):
         raise NotAnIdeal("ideal does not belong to the embedded space")
     if not is_ideal(e.base, ideal):
         raise NotAnIdeal("subspace fails the ternary ideal containments")
-    idx = e.corner_indices
-    placed = np.zeros((2, ideal.dim, e.dim), dtype=np.complex128)
-    placed[0][:, idx["M"]] = ideal.basis.T
-    placed[1][:, idx["Mbar"]] = ideal.basis.T.conj()
-    parts = {"M": placed[0].T, "Mbar": placed[1].T}
-    try:
-        for corner, (x, y) in (("L", placed), ("R", placed[::-1])):
-            prods = e.mul_coords(x[:, None], y[None])[..., idx[corner]]
-            q = mk.colspace(prods.reshape(-1, len(idx[corner])).T)
-            parts[corner] = np.zeros((e.dim, q.shape[1]), dtype=np.complex128)
-            parts[corner][idx[corner]] = q
-    except InvalidInput as exc:
-        raise NotAnIdeal(f"L(I) or R(I) escapes its corner span: {exc}") from None
-    corners = PeirceCorners(*(parts[c] for c in CORNERS))
-    resid = _assoc_ideal_residual(e, corners)
-    if resid > AXIOM_TOL:
-        raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
-    return np.hstack(corners.parts)
+    touched = []
+    for k, sl in enumerate(e.base.block_slices):
+        rows = ideal.basis[sl]
+        if rows.size and np.linalg.norm(rows, 2) > mk.DEFAULT_TOL:
+            touched.append((k, mk.colspace(rows)))
+    ranks = [x.shape[1] for _, x in touched]
+    if sum(ranks) != ideal.dim:
+        raise NotAnIdeal(f"subspace is not graded by the blocks: ranks {ranks} "
+                         f"do not add up to {ideal.dim}")
+    parts = [[] for _ in CORNERS]
+    for k, x in touched:
+        b, at = e.blocks[k], e.block_slices[k]
+        if x.shape[1] == b.dims[1] and b.corners_closed:
+            local = np.split(np.eye(b.dim), np.cumsum(b.dims)[:-1], axis=1)
+        else:
+            local = _block_parts(b, x)
+            resid = _assoc_ideal_residual(
+                StandardEmbedding(base=TernarySpace(blocks=(e.base.blocks[k],)), blocks=(b,)),
+                PeirceCorners(*local))
+            if resid > AXIOM_TOL:
+                raise NotAnIdeal(f"subspace fails the ideal check (residual {resid:.2e})")
+        for out, part in zip(parts, local):
+            out.append(np.zeros((e.dim, part.shape[1]), dtype=np.complex128))
+            out[-1][at] = part
+    return np.hstack([p for out in parts for p in out]
+                     or [np.zeros((e.dim, 0), dtype=np.complex128)])
+
+
+def _block_parts(b: BlockEmbedding, x: np.ndarray) -> list:
+    """The L(I), I, Ibar and R(I) parts, in the block's own coordinates, of
+    the part of an ideal with orthonormal block coordinates x (columns):
+    L(I) the column space of the products x_i x_j* and R(I) that of
+    x_i* x_j, each relative to its largest singular value; NotAnIdeal when
+    a product leaves its corner span."""
+    xs = np.tensordot(x.T, b.m_stack, axes=1)
+    adj = np.swapaxes(xs, -1, -2).conj()
+    out = []
+    for k, (u, v) in ((0, (xs, adj)), (3, (adj, xs))):
+        try:
+            coords = _span_coords(partial(b.corner_coords, k), u[:, None] @ v[None],
+                                  (u, v), mk.DEFAULT_TOL, "L(I) or R(I) escapes its corner span")
+        except InvalidInput as exc:
+            raise NotAnIdeal(str(exc)) from None
+        out.append(mk.colspace(coords.reshape(-1, b.dims[k]).T))
+    placed = []
+    for at, part in zip(b.slots(np.arange(b.dim)), (out[0], x, x.conj(), out[1])):
+        placed.append(np.zeros((b.dim, part.shape[1]), dtype=np.complex128))
+        placed[-1][at] = part
+    return placed
 
 
 def _same_space(p: TernarySpace, m: TernarySpace) -> bool:

@@ -193,3 +193,18 @@ def test_peirce_check_reads_each_block_at_its_own_scale(t):
             if (name, sl.start) == ("f33p-f22m-d2p", 0):
                 with pytest.raises(NotAnIdeal, match="ideal check"):
                     emb.peirce_split(es, np.hstack([parts.m, parts.mbar]))
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 1.0, 1e3, 1e5])
+def test_embed_ideal_reads_each_block_at_its_own_scale(t):
+    # L(I) and R(I) are cut by rank in each block alone: cut once across
+    # both blocks, the products of one block read as rounding beside those of
+    # the other at t = 1e-5 and 1e5, and the graded check failed at residual 1
+    full, diag = tern.full_matrix_space, tern.diagonal_space
+    for big, small, at, dims in ((full(4, 4, +1), full(2, 2, -1), 16, (20, 20, 20, 20)),
+                                 (diag(2, +1), diag(2, -1), 2, (2, 2, 2, 2))):
+        m = tern.direct_sum(big, scaled(small, t))
+        e = emb.build_embedding(m)
+        eye = np.eye(m.dim, dtype=np.complex128)
+        span = idl.embed_ideal(e, idl.generated_ideal(m, [eye[0] + eye[at]]))
+        assert emb.peirce_split(e, span).dims == dims

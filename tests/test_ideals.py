@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -326,11 +328,42 @@ def _complex_basis_diagonal():
     return m, idl.generated_ideal(m, [np.array([1.0, 1j])])
 
 
+def _generator_sets(m, rng):
+    """Generators in one block (its first and last coordinates, a random
+    vector in it), in two neighbouring blocks (a random vector across both,
+    and a first coordinate with a random 1e-6 tail in the next block, which
+    pulls that block in), and in all blocks (a random vector, and every
+    block's last coordinate as generators of their own)."""
+    eye = np.eye(m.dim, dtype=np.complex128)
+
+    def drawn(*blocks, t=1.0):
+        g = np.zeros(m.dim, dtype=np.complex128)
+        for sl in blocks:
+            g[sl] = t * (rng.standard_normal(sl.stop - sl.start)
+                         + 1j * rng.standard_normal(sl.stop - sl.start))
+        return g
+
+    sls = m.block_slices
+    out = [[g] for sl in sls for g in (eye[sl.start], eye[sl.stop - 1], drawn(sl))]
+    out += [[g] for a, b in zip(sls, sls[1:])
+            for g in (drawn(a, b), eye[a.start] + drawn(b, t=1e-6))]
+    return out + [[drawn(*sls)], [eye[sl.stop - 1] for sl in sls]]
+
+
 def test_embed_ideal_matches_corner_reference(catalog):
-    # the parts come side by side, L, M, Mbar and R, each zero outside its corner
+    # the parts come side by side, L, M, Mbar and R, each zero outside its
+    # corner: block-first-coordinate ideals of the catalog, and on its
+    # multi-block spaces and the lattice spaces generators in one, two and
+    # all blocks, random ones and 1e-6 tails
+    rng = np.random.default_rng(33)
     twisted, line = _complex_basis_diagonal()
     assert line.dim == 1
     cases = [(name, m, _block_first_coordinate_ideals(m)) for name, m in catalog]
+    multi = [(name, m) for name, m in catalog if len(m.blocks) > 1] + lattice_spaces()
+    assert len(multi) == 8
+    cases += [(name, m, [idl.generated_ideal(m, gens) for gens in _generator_sets(m, rng)])
+              for name, m in multi]
+    filled = one_short = 0
     for name, m, ideals in cases + [("diag-complex-basis", twisted, [line])]:
         e = emb.build_embedding(m)
         for ideal in ideals:
@@ -340,7 +373,45 @@ def test_embed_ideal_matches_corner_reference(catalog):
             got = np.split(span, np.cumsum(want.dims)[:-1], axis=1)
             for corner, part, ref in zip(emb.CORNERS, got, want.parts):
                 assert not np.delete(part, e.corner_indices[corner], axis=0).any(), name
-                assert mk.subspace_distance(part, ref) <= 1e-10, (name, corner)
+                assert mk.subspace_distance(part, ref) <= 1e-12, (name, corner)
+            assert emb.peirce_split(e, span).dims == want.dims, name
+            for sl in m.block_slices:
+                k, n = np.linalg.matrix_rank(ideal.basis[sl], 1e-9), sl.stop - sl.start
+                filled += k == n
+                one_short += 0 < k == n - 1
+    # both rules run, the products also on parts one short of filling their block
+    assert filled >= 100 and one_short >= 10
+
+
+def test_filled_block_keeps_its_span_check(monkeypatch):
+    # a block whose R basis misses one element: its whole ideal fills the
+    # block, but x* y leaves R, so the filled rule must not take it
+    m = dict(lattice_spaces())["f44p-f22m"]
+    eye = np.eye(m.dim, dtype=np.complex128)
+    e = emb.build_embedding(m)
+    for k, sl in enumerate(m.block_slices):
+        cut = dataclasses.replace(e.blocks[k], r_stack=e.blocks[k].r_stack[:-1])
+        bad = dataclasses.replace(e, blocks=e.blocks[:k] + (cut,) + e.blocks[k + 1:])
+        assert not cut.corners_closed
+        with pytest.raises(NotAnIdeal):
+            idl.embed_ideal(bad, idl.generated_ideal(m, [eye[sl.start]]))
+    # the block check runs once per block, whatever the number of calls: 8
+    # corner products each, and a filled block forms no other product
+    calls = []
+    fresh = emb.BlockEmbedding.corner_products
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return fresh(self, *args, **kwargs)
+
+    monkeypatch.setattr(emb.BlockEmbedding, "corner_products", counted)
+    e = emb.build_embedding(m)
+    ideals = _block_first_coordinate_ideals(m) + [idl.generated_ideal(m, list(eye))]
+    for _ in range(3):
+        for ideal in ideals:
+            idl.embed_ideal(e, ideal)
+    assert len(calls) == 8 * len(e.blocks)
+    assert {id(b) for b in calls} == {id(b) for b in e.blocks}
 
 
 def test_each_ideal_is_checked_once(catalog, monkeypatch):
